@@ -35,8 +35,11 @@ type Engine struct {
 
 	opts Options
 
-	fast []*rules.Matcher // signature-index candidate retrieval
-	slow []*rules.Matcher // full-scan retrieval (Algorithm 1 cost model)
+	// matchers holds one compiled match plan per rule. The fast path
+	// retrieves candidates through the signature indexes; BasicRepair
+	// and the NoIndexes ablation run the same plans with full
+	// class-extent scans (Algorithm 1 cost model).
+	matchers []*rules.Matcher
 
 	// numChecks is the number of distinct check IDs; dense IDs are in
 	// [0, numChecks).
@@ -101,12 +104,13 @@ type Engine struct {
 
 // check is one memoizable value-level test, identified by its dense
 // ID. Edge checks carry no payload: they are only consulted when
-// already memoized (see fastStep). col is the schema column a node
-// check reads (-1 for edges and unknown columns), used to key the
+// already memoized (see fastStep). ev is the evidence node a node
+// check tests (its index in the rule), and col the schema column it
+// reads (-1 for edges and unknown columns), used to key the
 // cross-request cell memo by the cell's current value.
 type check struct {
 	id     int32
-	node   rules.Node
+	ev     int32
 	isEdge bool
 	col    int32
 }
@@ -250,17 +254,11 @@ func NewEngineStore(drs []*rules.DR, store *kb.Store, schema *relation.Schema, o
 	}
 
 	for i, dr := range drs {
-		fm, err := rules.NewMatcher(dr, e.Cat, schema)
+		m, err := rules.NewMatcher(dr, e.Cat, schema)
 		if err != nil {
 			return nil, err
 		}
-		e.fast = append(e.fast, fm)
-		sm, err := rules.NewMatcher(dr, e.Cat, schema)
-		if err != nil {
-			return nil, err
-		}
-		sm.Scan = true
-		e.slow = append(e.slow, sm)
+		e.matchers = append(e.matchers, m)
 
 		nodeByName := make(map[string]rules.Node)
 		for _, n := range dr.Evidence {
@@ -272,9 +270,9 @@ func NewEngineStore(drs []*rules.DR, store *kb.Store, schema *relation.Schema, o
 		}
 
 		var evs []check
-		for _, n := range dr.Evidence {
+		for j, n := range dr.Evidence {
 			id := idOf(n.Key(), n.Col)
-			evs = append(evs, check{id: id, node: n, col: int32(schema.Col(n.Col))})
+			evs = append(evs, check{id: id, ev: int32(j), col: int32(schema.Col(n.Col))})
 			e.evIndex[id] = append(e.evIndex[id], i)
 		}
 		evSet := make(map[string]bool, len(dr.Evidence))
@@ -373,7 +371,7 @@ func (e *Engine) Warm() {
 		seen[p] = true
 		e.Cat.Candidates(n.Type, n.Sim, "")
 	}
-	for _, m := range e.fast {
+	for _, m := range e.matchers {
 		for _, n := range m.Rule.Evidence {
 			warm(n)
 		}
@@ -390,62 +388,58 @@ func (e *Engine) Warm() {
 func (e *Engine) applicable(t *relation.Tuple, out rules.Outcome) bool {
 	switch out.Kind {
 	case rules.Positive:
-		for _, c := range out.MarkCols {
-			if !t.Marked[e.Schema.MustCol(c)] {
+		for _, c := range out.MarkIdx {
+			if !t.Marked[c] {
 				return true
 			}
 		}
 		return false
 	case rules.Repair:
-		return !t.Marked[e.Schema.MustCol(out.RepairCol)]
+		return !t.Marked[out.RepairIdx]
 	default:
 		return false
 	}
 }
 
 // apply mutates t according to the outcome, choosing version idx of a
-// multi-version repair, and returns the columns whose values changed
-// (the repaired column and any canonicalized evidence columns). When
-// alts is non-nil, the full candidate list of every rewritten cell is
-// recorded there — the paper scores a multi-version repair as correct
-// when *any* version matches the ground truth (§V-A).
+// multi-version repair, and appends to changed the schema indexes of
+// the columns whose values changed (the repaired column and any
+// canonicalized evidence columns). When alts is non-nil, the full
+// candidate list of every rewritten cell is recorded there — the paper
+// scores a multi-version repair as correct when *any* version matches
+// the ground truth (§V-A).
 //
 // detectOnly is the circuit breaker's degraded mode: only the marks
 // are written — the cells the rule implicates — and every value write
-// (canonicalization and repair alike) is skipped. The nil changed
-// return is load-bearing: fastStep's post-apply block re-asserts the
+// (canonicalization and repair alike) is skipped. Appending nothing to
+// changed is load-bearing: fastStep's post-apply block re-asserts the
 // positive check as memoTrue, which would be wrong for a value that
 // was never rewritten, and is skipped only when nothing changed.
-func (e *Engine) apply(t *relation.Tuple, out rules.Outcome, version int, alts map[string][]string, detectOnly bool) []string {
+func (e *Engine) apply(t *relation.Tuple, out rules.Outcome, version int, alts map[string][]string, detectOnly bool, changed []int) []int {
 	if detectOnly {
-		for _, c := range out.MarkCols {
-			t.Marked[e.Schema.MustCol(c)] = true
+		for _, c := range out.MarkIdx {
+			t.Marked[c] = true
 		}
-		return nil
+		return changed
 	}
-	var changed []string
-	for c, v := range out.Canonical {
-		col := e.Schema.MustCol(c)
-		if !t.Marked[col] && t.Values[col] != v {
-			t.Values[col] = v
-			changed = append(changed, c)
+	for _, c := range out.Canonical {
+		if !t.Marked[c.Col] && t.Values[c.Col] != c.Value {
+			t.Values[c.Col] = c.Value
+			changed = append(changed, c.Col)
 			if alts != nil {
-				alts[c] = []string{v}
+				alts[e.Schema.Attrs[c.Col]] = []string{c.Value}
 			}
 		}
 	}
-	if out.Kind == rules.Repair {
-		col := e.Schema.MustCol(out.RepairCol)
-		if t.Values[col] != out.Repairs[version] {
-			t.Values[col] = out.Repairs[version]
-			changed = append(changed, out.RepairCol)
-			if alts != nil {
-				alts[out.RepairCol] = append([]string(nil), out.Repairs...)
-			}
+	if col := out.RepairIdx; out.Kind == rules.Repair && t.Values[col] != out.Repairs[version] {
+		t.Values[col] = out.Repairs[version]
+		changed = append(changed, col)
+		if alts != nil {
+			alts[out.RepairCol] = append([]string(nil), out.Repairs...)
 		}
 	}
-	for _, c := range out.MarkCols {
-		t.Marked[e.Schema.MustCol(c)] = true
+	for _, c := range out.MarkIdx {
+		t.Marked[c] = true
 	}
 	return changed
 }
@@ -461,17 +455,18 @@ func (e *Engine) BasicRepair(t *relation.Tuple) *relation.Tuple {
 }
 
 func (e *Engine) basicRepair(t *relation.Tuple, alts map[string][]string) *relation.Tuple {
-	g := e.Cat.Graph() // pin: the whole tuple repairs against one KB
+	st := e.getState() // pins the whole tuple's repair to one KB
+	defer e.putState(st)
 	cl := t.Clone()
-	used := make([]bool, len(e.slow))
+	used := make([]bool, len(e.matchers))
 	applied := 0
 	for {
 		progress := false
-		for i, m := range e.slow {
+		for i, m := range e.matchers {
 			if used[i] {
 				continue
 			}
-			out := m.EvaluateOn(g, cl)
+			out := m.EvaluateWith(st.g, cl, &st.sc, true, false)
 			if !e.applicable(cl, out) {
 				continue
 			}
@@ -480,7 +475,7 @@ func (e *Engine) basicRepair(t *relation.Tuple, alts map[string][]string) *relat
 				e.count(tupleBudgetExhausted, nil)
 				return t.Clone()
 			}
-			e.apply(cl, out, 0, alts, false)
+			e.apply(cl, out, 0, alts, false, nil)
 			used[i] = true // each rule is applied at most once (Alg. 1 line 8)
 			progress = true
 			break
@@ -690,13 +685,15 @@ func (e *Engine) runFastGroups(cl *relation.Tuple, st *fastState) bool {
 }
 
 type fastState struct {
-	alive []bool
-	memo  []int8              // check ID -> tri-state result for the current values
-	alts  map[string][]string // optional multi-version recorder
-	steps *[]Step             // optional explanation recorder
-	timer *stageTimer         // non-nil only while this tuple is latency-sampled
-	g     *kb.Graph           // the KB pinned for this tuple's whole repair
-	gen   int64               // g's generation, keying the cross-request cell memo
+	alive   []bool
+	memo    []int8              // check ID -> tri-state result for the current values
+	sc      rules.Scratch       // match-plan working memory
+	changed []int               // columns rewritten by the last application
+	alts    map[string][]string // optional multi-version recorder
+	steps   *[]Step             // optional explanation recorder
+	timer   *stageTimer         // non-nil only while this tuple is latency-sampled
+	g       *kb.Graph           // the KB pinned for this tuple's whole repair
+	gen     int64               // g's generation, keying the cross-request cell memo
 
 	stepsLeft int  // remaining rule applications before degrade
 	exceeded  bool // step budget exhausted for this tuple
@@ -730,7 +727,7 @@ func (e *Engine) getStateOn(g *kb.Graph) *fastState {
 	st, _ := e.pool.Get().(*fastState)
 	if st == nil {
 		st = &fastState{
-			alive: make([]bool, len(e.fast)),
+			alive: make([]bool, len(e.matchers)),
 			memo:  make([]int8, e.numChecks),
 		}
 	}
@@ -766,20 +763,20 @@ func (e *Engine) putState(st *fastState) {
 
 // nodeCheckMemo resolves one evidence node check, consulting the
 // cross-request cell memo first: node checks are pure functions of
-// (check, cell value, pinned graph) — see rules.Matcher.NodeCheckOn —
+// (check, cell value, pinned graph) — see rules.Matcher.EvidenceCheckOn —
 // so a verdict cached by any earlier tuple under the same generation
 // stands in for the KB probe. Only the per-tuple tri-state was
 // consulted before this point, so each (check, value) pair costs at
 // most one memo round-trip per tuple.
 func (e *Engine) nodeCheckMemo(m *rules.Matcher, st *fastState, t *relation.Tuple, c check) bool {
 	if e.memo == nil || c.col < 0 {
-		return m.NodeCheckOn(st.g, t, c.node)
+		return m.EvidenceCheckOn(st.g, t, int(c.ev))
 	}
 	v := t.Values[c.col]
 	if hold, ok := e.memo.getCell(st.gen, c.id, v); ok {
 		return hold
 	}
-	hold := m.NodeCheckOn(st.g, t, c.node)
+	hold := m.EvidenceCheckOn(st.g, t, int(c.ev))
 	e.memo.putCell(st.gen, c.id, v, hold)
 	return hold
 }
@@ -805,10 +802,7 @@ func (e *Engine) fastStep(t *relation.Tuple, idx int, st *fastState, cyclic bool
 			st.ran = append(st.ran, int32(idx))
 		}
 	}
-	m := e.fast[idx]
-	if e.opts.NoIndexes {
-		m = e.slow[idx]
-	}
+	m := e.matchers[idx]
 
 	// Evidence prechecks, shared across rules (Alg. 2 lines 3-9).
 	if e.opts.NoSharedChecks {
@@ -854,12 +848,13 @@ func (e *Engine) fastStep(t *relation.Tuple, idx int, st *fastState, cyclic bool
 	}
 
 evaluate:
+	// The witness is only built while an explanation is recorded.
 	var out rules.Outcome
 	if st.timer == nil {
-		out = m.EvaluateOn(st.g, t)
+		out = m.EvaluateWith(st.g, t, &st.sc, e.opts.NoIndexes, st.steps != nil)
 	} else {
 		t0 := time.Now()
-		out = m.EvaluateOn(st.g, t)
+		out = m.EvaluateWith(st.g, t, &st.sc, e.opts.NoIndexes, st.steps != nil)
 		st.timer.detect += time.Since(t0)
 	}
 	if !e.applicable(t, out) {
@@ -878,20 +873,18 @@ evaluate:
 	}
 	oldValue := ""
 	if out.Kind == rules.Repair {
-		oldValue = t.Values[e.Schema.MustCol(out.RepairCol)]
+		oldValue = t.Values[out.RepairIdx]
 	}
-	changed := e.apply(t, out, 0, st.alts, st.detectOnly)
+	st.changed = e.apply(t, out, 0, st.alts, st.detectOnly, st.changed[:0])
 	e.recordStep(st, idx, out, oldValue)
 	st.alive[idx] = false
 
-	if len(changed) > 0 {
+	if len(st.changed) > 0 {
 		// A rewrite invalidates every memoized check that reads a
 		// changed column...
-		for _, c := range changed {
-			if ci := e.Schema.Col(c); ci >= 0 {
-				for _, id := range e.colInval[ci] {
-					st.memo[id] = memoUnknown
-				}
+		for _, c := range st.changed {
+			for _, id := range e.colInval[c] {
+				st.memo[id] = memoUnknown
 			}
 		}
 		// ...except that the rule's own matched structure is witnessed
@@ -917,8 +910,8 @@ evaluate:
 			continue
 		}
 		subsumed := true
-		for _, c := range e.fast[j].MarkCols() {
-			if !t.Marked[e.Schema.MustCol(c)] {
+		for _, c := range e.matchers[j].MarkColIdx() {
+			if !t.Marked[c] {
 				subsumed = false
 				break
 			}

@@ -98,7 +98,7 @@ func (e *Engine) recordStep(st *fastState, idx int, out rules.Outcome, old strin
 		return
 	}
 	step := Step{
-		Rule:     e.fast[idx].Rule.Name,
+		Rule:     e.matchers[idx].Rule.Name,
 		Kind:     out.Kind,
 		MarkCols: out.MarkCols,
 		Witness:  out.Witness,

@@ -16,7 +16,7 @@
 //   - Tier 2 caches per-cell evidence verdicts keyed by (check ID,
 //     cell value), so a novel tuple that shares a hot value with
 //     earlier traffic still skips the KB probe (the per-check
-//     NodeCheckOn is itself a pure function of the value and the
+//     EvidenceCheckOn is itself a pure function of the value and the
 //     pinned graph; see rules.Matcher).
 //
 // Both tiers are sharded 64 ways by the fingerprint's high bits, each

@@ -22,8 +22,9 @@ func (e *Engine) RepairVersions(t *relation.Tuple) []*relation.Tuple {
 		t    *relation.Tuple
 		used []bool
 	}
-	g := e.Cat.Graph() // pin: all branches explore one KB
-	start := state{t: t.Clone(), used: make([]bool, len(e.fast))}
+	st := e.getState() // pin: all branches explore one KB
+	defer e.putState(st)
+	start := state{t: t.Clone(), used: make([]bool, len(e.matchers))}
 	work := []state{start}
 	var finals []*relation.Tuple
 	total := 1 // states in flight or finished
@@ -33,11 +34,11 @@ func (e *Engine) RepairVersions(t *relation.Tuple) []*relation.Tuple {
 		work = work[1:]
 		for {
 			progress := false
-			for i, m := range e.fast {
+			for i, m := range e.matchers {
 				if s.used[i] {
 					continue
 				}
-				out := m.EvaluateOn(g, s.t)
+				out := m.EvaluateWith(st.g, s.t, &st.sc, false, false)
 				if !e.applicable(s.t, out) {
 					continue
 				}
@@ -46,13 +47,13 @@ func (e *Engine) RepairVersions(t *relation.Tuple) []*relation.Tuple {
 					// current state continues with version 0.
 					for v := 1; v < len(out.Repairs) && total < MaxVersions; v++ {
 						branch := state{t: s.t.Clone(), used: append([]bool(nil), s.used...)}
-						e.apply(branch.t, out, v, nil, false)
+						e.apply(branch.t, out, v, nil, false, nil)
 						branch.used[i] = true
 						work = append(work, branch)
 						total++
 					}
 				}
-				e.apply(s.t, out, 0, nil, false)
+				e.apply(s.t, out, 0, nil, false, nil)
 				s.used[i] = true
 				progress = true
 				break

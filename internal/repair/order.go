@@ -9,20 +9,21 @@ import "detective/internal/relation"
 // set every order reaches the same fixpoint (the Church-Rosser
 // property, §IV-A).
 func (e *Engine) RepairWithOrder(t *relation.Tuple, order []int) *relation.Tuple {
-	g := e.Cat.Graph() // pin: every order explores one KB
+	st := e.getState() // pin: every order explores one KB
+	defer e.putState(st)
 	cl := t.Clone()
-	used := make([]bool, len(e.fast))
+	used := make([]bool, len(e.matchers))
 	for {
 		progress := false
 		for _, i := range order {
 			if used[i] {
 				continue
 			}
-			out := e.fast[i].EvaluateOn(g, cl)
+			out := e.matchers[i].EvaluateWith(st.g, cl, &st.sc, false, false)
 			if !e.applicable(cl, out) {
 				continue
 			}
-			e.apply(cl, out, 0, nil, false)
+			e.apply(cl, out, 0, nil, false, nil)
 			used[i] = true
 			progress = true
 			break
@@ -34,4 +35,4 @@ func (e *Engine) RepairWithOrder(t *relation.Tuple, order []int) *relation.Tuple
 }
 
 // NumRules returns the number of rules in the engine.
-func (e *Engine) NumRules() int { return len(e.fast) }
+func (e *Engine) NumRules() int { return len(e.matchers) }

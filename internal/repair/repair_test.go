@@ -350,3 +350,31 @@ func TestCleanCSVStream(t *testing.T) {
 		t.Fatal("want error for short row")
 	}
 }
+
+// TestFastRepairColdAllocs guards the cold repair kernel's allocation
+// count independently of the host: with the memo off and the candidate
+// cache warm, fast repair of the Nobel-500 sample stays within 16
+// allocations per tuple (the result clone, repair candidate lists and
+// the occasional latency sample; match-plan evaluation itself runs in
+// pooled scratch).
+func TestFastRepairColdAllocs(t *testing.T) {
+	bundle := dataset.NewNobel(1, 500)
+	inj := bundle.Inject(dataset.Noise{Rate: 0.10, TypoFrac: 0.5, Seed: 1})
+	e, err := repair.NewEngineWithOptions(bundle.Rules, bundle.Yago, bundle.Schema,
+		repair.Options{MemoDisabled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Warm()
+	pass := func() {
+		for _, tu := range inj.Dirty.Tuples {
+			e.FastRepair(tu)
+		}
+	}
+	pass() // fill the candidate cache
+	perTuple := testing.AllocsPerRun(3, pass) / float64(inj.Dirty.Len())
+	if perTuple > 16 {
+		t.Errorf("FastRepair allocates %.1f times per tuple, want <= 16", perTuple)
+	}
+	t.Logf("%.2f allocs per tuple", perTuple)
+}

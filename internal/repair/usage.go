@@ -42,9 +42,9 @@ func (r UsageReport) String() string {
 // RepairTableWithUsage is RepairTable (fast engine) plus the per-rule
 // usage report. Rules appear in the report even when they never fired.
 func (e *Engine) RepairTableWithUsage(tb *relation.Table) (*relation.Table, UsageReport) {
-	usage := make(map[string]*RuleUsage, len(e.fast))
-	order := make([]string, 0, len(e.fast))
-	for _, m := range e.fast {
+	usage := make(map[string]*RuleUsage, len(e.matchers))
+	order := make([]string, 0, len(e.matchers))
+	for _, m := range e.matchers {
 		usage[m.Rule.Name] = &RuleUsage{Rule: m.Rule.Name}
 		order = append(order, m.Rule.Name)
 	}

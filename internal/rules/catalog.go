@@ -93,7 +93,7 @@ type idxKey struct {
 // by (class, generation) with the two most recent generations
 // retained — in-flight tuples that pinned the old graph keep full
 // index service through the swap window. Callers doing multi-step
-// work pin a graph once (Graph()) and use the ...On variants.
+// work pin a graph once (Graph()) and pass it to LookupID.
 type Catalog struct {
 	store *kb.Store
 
@@ -122,8 +122,7 @@ func NewCatalogStore(s *kb.Store) *Catalog {
 }
 
 // Graph returns the store's current graph. Multi-step callers pin it
-// once and pass it to the ...On variants so the whole step sees one
-// graph.
+// once and pass it to LookupID so the whole step sees one graph.
 func (c *Catalog) Graph() *kb.Graph { return c.store.Graph() }
 
 // Store returns the underlying swappable KB handle.
@@ -246,24 +245,36 @@ func (c *Catalog) classIndex(g *kb.Graph, cls kb.ID) *similarity.StringIndex {
 }
 
 // Candidates returns the instances of class typeName whose names match
-// value under spec, evaluated against the store's current graph. See
-// CandidatesOn for the pinned-graph variant multi-step callers need.
-func (c *Catalog) Candidates(typeName string, spec similarity.Spec, value string) []kb.ID {
-	return c.CandidatesOn(c.store.Graph(), typeName, spec, value)
-}
-
-// CandidatesOn is Candidates against an explicitly pinned graph. A
+// value under spec, evaluated against the store's current graph. A
 // type unknown to the KB yields no candidates. The returned slice may
 // be shared with the cache and other callers — treat it as read-only.
+func (c *Catalog) Candidates(typeName string, spec similarity.Spec, value string) []kb.ID {
+	g := c.store.Graph()
+	return c.LookupID(g, g.Lookup(typeName), spec, value, false)
+}
+
+// LookupID retrieves the instances of class cls (already resolved
+// against g; kb.Invalid yields none) whose names match value under
+// spec. It is the lookup compiled match plans use, so no type name is
+// resolved per call. scan=true charges the basic algorithm's full
+// class-extent scan instead of the signature indexes, uncached.
 // Edit-distance specs beyond MaxEDThreshold are rejected at rule
 // validation time; reaching here with one is a programming error.
-func (c *Catalog) CandidatesOn(g *kb.Graph, typeName string, spec similarity.Spec, value string) []kb.ID {
-	if spec.Op == similarity.OpED && spec.K > MaxEDThreshold {
+func (c *Catalog) LookupID(g *kb.Graph, cls kb.ID, spec similarity.Spec, value string, scan bool) []kb.ID {
+	if spec.Op == similarity.OpED && spec.K > MaxEDThreshold && !scan {
 		panic(fmt.Sprintf("rules: ED threshold %d exceeds MaxEDThreshold %d", spec.K, MaxEDThreshold))
 	}
-	cls := g.Lookup(typeName)
 	if cls == kb.Invalid {
 		return nil
+	}
+	if scan {
+		var out []kb.ID
+		for _, inst := range g.InstancesOf(cls) {
+			if spec.Match(value, g.Name(inst)) {
+				out = append(out, inst)
+			}
+		}
+		return out
 	}
 	if c.cacheCap == 0 {
 		return c.retrieve(g, cls, spec, value)
@@ -283,7 +294,10 @@ func (c *Catalog) CandidatesOn(g *kb.Graph, typeName string, spec similarity.Spe
 	out := c.retrieve(g, cls, spec, value)
 	sh.mu.Lock()
 	if sh.m == nil {
-		sh.m = make(map[candKey]candEntry, c.cacheCap)
+		// Grown on demand rather than sized to the bound: a catalog
+		// serving a small tenant never needs its full cacheCap, and
+		// every admission and reload builds a fresh catalog.
+		sh.m = make(map[candKey]candEntry)
 	}
 	if len(sh.m) >= c.cacheCap {
 		// The shard is full: evict an arbitrary eighth. Map iteration
@@ -315,17 +329,6 @@ func (c *Catalog) retrieve(g *kb.Graph, cls kb.ID, spec similarity.Spec, value s
 	return out
 }
 
-// HasCandidate reports whether Candidates would be non-empty; it is
-// the node-level check memoized by the fast repair engine.
-func (c *Catalog) HasCandidate(typeName string, spec similarity.Spec, value string) bool {
-	return len(c.Candidates(typeName, spec, value)) > 0
-}
-
-// HasCandidateOn is HasCandidate against a pinned graph.
-func (c *Catalog) HasCandidateOn(g *kb.Graph, typeName string, spec similarity.Spec, value string) bool {
-	return len(c.CandidatesOn(g, typeName, spec, value)) > 0
-}
-
 // CandidatesScan is the unindexed counterpart of Candidates: it
 // enumerates every instance of the class and tests the matching
 // operation directly, the O(|C|·|X|) per-node cost the paper charges
@@ -334,33 +337,6 @@ func (c *Catalog) HasCandidateOn(g *kb.Graph, typeName string, spec similarity.S
 // deliberately uncached: it models the basic algorithm's cost, and
 // caching it would corrupt the ablation contrast.
 func (c *Catalog) CandidatesScan(typeName string, spec similarity.Spec, value string) []kb.ID {
-	return c.CandidatesScanOn(c.store.Graph(), typeName, spec, value)
-}
-
-// CandidatesScanOn is CandidatesScan against a pinned graph.
-func (c *Catalog) CandidatesScanOn(g *kb.Graph, typeName string, spec similarity.Spec, value string) []kb.ID {
-	cls := g.Lookup(typeName)
-	if cls == kb.Invalid {
-		return nil
-	}
-	var out []kb.ID
-	for _, inst := range g.InstancesOf(cls) {
-		if spec.Match(value, g.Name(inst)) {
-			out = append(out, inst)
-		}
-	}
-	return out
-}
-
-// Lookup retrieves candidates with or without the signature indexes.
-func (c *Catalog) Lookup(typeName string, spec similarity.Spec, value string, scan bool) []kb.ID {
-	return c.LookupOn(c.store.Graph(), typeName, spec, value, scan)
-}
-
-// LookupOn is Lookup against a pinned graph.
-func (c *Catalog) LookupOn(g *kb.Graph, typeName string, spec similarity.Spec, value string, scan bool) []kb.ID {
-	if scan {
-		return c.CandidatesScanOn(g, typeName, spec, value)
-	}
-	return c.CandidatesOn(g, typeName, spec, value)
+	g := c.store.Graph()
+	return c.LookupID(g, g.Lookup(typeName), spec, value, true)
 }

@@ -17,7 +17,6 @@ package rules
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"detective/internal/relation"
@@ -189,35 +188,6 @@ func (r *DR) EvidenceCols() []string {
 
 // PosCol returns the column the rule marks/repairs (col(p) = col(n)).
 func (r *DR) PosCol() string { return r.Pos.Col }
-
-// AllCols returns the set of columns the rule touches, sorted.
-func (r *DR) AllCols() []string {
-	cols := append(r.EvidenceCols(), r.Pos.Col)
-	sort.Strings(cols)
-	return cols
-}
-
-// node returns the node with the given name, searching evidence then
-// pos then neg.
-func (r *DR) node(name string) (Node, bool) {
-	for _, n := range r.Evidence {
-		if n.Name == name {
-			return n, true
-		}
-	}
-	if r.Pos.Name == name {
-		return r.Pos, true
-	}
-	if r.Neg != nil && r.Neg.Name == name {
-		return *r.Neg, true
-	}
-	for _, p := range r.Path {
-		if p.Name == name {
-			return p.asNode(), true
-		}
-	}
-	return Node{}, false
-}
 
 // sideGraph assembles the schema-level matching graph of one side of
 // the rule: evidence ∪ {pole} plus the path nodes that lie on a route

@@ -94,19 +94,21 @@ func TestFindAssignmentsPaperFigure3(t *testing.T) {
 		{From: "v1", Rel: "worksAt", To: "v5"},
 	}
 	r1 := ex.Dirty.Tuples[0]
-	as := rules.FindAssignments(cat, ex.Schema, r1, nodes, edges, 0)
+	as := rules.EvidenceAssignments(cat, ex.Schema, r1, nodes, edges)
 	if len(as) != 1 {
 		t.Fatalf("got %d assignments, want 1", len(as))
 	}
-	a := as[0]
 	want := map[string]string{
 		"v1": "Avram Hershko",
 		"v2": "1937-12-31",
 		"v3": "Israel",
 		"v5": "Israel Institute of Technology",
 	}
+	if len(as[0]) != len(want) {
+		t.Errorf("assignment %v binds %d nodes, want %d", as[0], len(as[0]), len(want))
+	}
 	for node, inst := range want {
-		if got := ex.KB.Name(a[node]); got != inst {
+		if got := as[0][node]; got != inst {
 			t.Errorf("%s bound to %q, want %q", node, got, inst)
 		}
 	}
@@ -120,9 +122,13 @@ func TestFindAssignmentsRespectsEdges(t *testing.T) {
 	}
 	// r1[City] = Karcag: worksAt-city edge must fail, wasBornIn must hold.
 	r1 := ex.Dirty.Tuples[0]
-	if as := rules.FindAssignments(cat, ex.Schema, r1,
-		nodes, []rules.Edge{{From: "a", Rel: "wasBornIn", To: "b"}}, 0); len(as) != 1 {
+	if as := rules.EvidenceAssignments(cat, ex.Schema, r1,
+		nodes, []rules.Edge{{From: "a", Rel: "wasBornIn", To: "b"}}); len(as) != 1 {
 		t.Errorf("wasBornIn: got %d assignments, want 1", len(as))
+	}
+	if as := rules.EvidenceAssignments(cat, ex.Schema, r1,
+		nodes, []rules.Edge{{From: "a", Rel: "worksAt", To: "b"}}); len(as) != 0 {
+		t.Errorf("worksAt: got %d assignments, want 0", len(as))
 	}
 }
 
@@ -130,8 +136,8 @@ func TestFindAssignmentsLimit(t *testing.T) {
 	ex, cat := fixture(t)
 	nodes := []rules.Node{{Name: "a", Col: "Name", Type: "person", Sim: similarity.Eq}}
 	r1 := ex.Dirty.Tuples[0]
-	// The taxonomy makes Avram Hershko a person; one candidate, limit 1.
-	if as := rules.FindAssignments(cat, ex.Schema, r1, nodes, nil, 1); len(as) != 1 {
+	// The taxonomy makes Avram Hershko a person: exactly one candidate.
+	if as := rules.EvidenceAssignments(cat, ex.Schema, r1, nodes, nil); len(as) != 1 {
 		t.Fatalf("taxonomy-based match failed: %d assignments", len(as))
 	}
 }
@@ -260,18 +266,20 @@ func TestNodeAndEdgeChecks(t *testing.T) {
 	r1 := ex.Dirty.Tuples[0]
 	nameNode := m.Rule.Evidence[0]
 	instNode := m.Rule.Evidence[1]
-	if !m.NodeCheck(r1, nameNode) {
-		t.Error("NodeCheck(Name) = false")
+	if !m.EvidenceCheckOn(cat.Graph(), r1, 0) {
+		t.Error("EvidenceCheckOn(Name) = false")
 	}
-	if !m.EdgeCheck(r1, rules.Edge{From: "w1", Rel: "worksAt", To: "w2"}, nameNode, instNode) {
-		t.Error("EdgeCheck(worksAt) = false")
+	if as := rules.EvidenceAssignments(cat, ex.Schema, r1, []rules.Node{nameNode, instNode},
+		[]rules.Edge{{From: nameNode.Name, Rel: "worksAt", To: instNode.Name}}); len(as) == 0 {
+		t.Error("worksAt edge: no assignment")
 	}
-	if m.EdgeCheck(r1, rules.Edge{From: "w1", Rel: "graduatedFrom", To: "w2"}, nameNode, instNode) {
-		t.Error("EdgeCheck(graduatedFrom) = true, want false")
+	if as := rules.EvidenceAssignments(cat, ex.Schema, r1, []rules.Node{nameNode, instNode},
+		[]rules.Edge{{From: nameNode.Name, Rel: "graduatedFrom", To: instNode.Name}}); len(as) != 0 {
+		t.Errorf("graduatedFrom edge: %d assignments, want 0", len(as))
 	}
 	bogus := rules.Node{Name: "x", Col: "Name", Type: "no-such-class", Sim: similarity.Eq}
-	if m.NodeCheck(r1, bogus) {
-		t.Error("NodeCheck(bogus type) = true")
+	if as := rules.EvidenceAssignments(cat, ex.Schema, r1, []rules.Node{bogus}, nil); len(as) != 0 {
+		t.Error("bogus type matched")
 	}
 }
 
@@ -295,9 +303,6 @@ func TestCatalogUnknownType(t *testing.T) {
 	cat := rules.NewCatalog(ex.KB)
 	if got := cat.Candidates("no-such-class", similarity.Eq, "x"); got != nil {
 		t.Errorf("Candidates(unknown class) = %v", got)
-	}
-	if cat.HasCandidate("no-such-class", similarity.Eq, "x") {
-		t.Error("HasCandidate(unknown class) = true")
 	}
 }
 
@@ -407,5 +412,43 @@ func TestMatcherRejectsOversizedED(t *testing.T) {
 	}
 	if _, err := rules.NewMatcher(r, cat, ex.Schema); err == nil {
 		t.Error("want error for oversized ED threshold")
+	}
+}
+
+// TestFuzzyRepairCanonicalizesOnlyFuzzyAssignments: of two evidence
+// assignments only the first reaches a positive instance within the
+// pole's threshold. The second must not join the fuzzy repair's
+// assignments, or it makes the evidence canonicalization look
+// ambiguous and silently drops it.
+func TestFuzzyRepairCanonicalizesOnlyFuzzyAssignments(t *testing.T) {
+	g := kb.New()
+	g.AddType("Anne", "person")
+	g.AddType("Anna", "person")
+	g.AddType("Paris", "city")
+	g.AddType("Rome", "city")
+	g.AddTriple("Anne", "livesIn", "Paris")
+	g.AddTriple("Anna", "livesIn", "Rome")
+	schema := relation.NewSchema("R", "Name", "City")
+	dr := &rules.DR{
+		Name:     "fuzzy",
+		Evidence: []rules.Node{{Name: "e", Col: "Name", Type: "person", Sim: similarity.EDK(1)}},
+		Pos:      rules.Node{Name: "p", Col: "City", Type: "city", Sim: similarity.EDK(1)},
+		Edges:    []rules.Edge{{From: "e", Rel: "livesIn", To: "p"}},
+	}
+	cat := rules.NewCatalog(g)
+	if got := rules.EvidenceAssignments(cat, schema, relation.NewTuple("Ann", "Pariss"), dr.Evidence, nil); len(got) != 2 ||
+		got[0]["e"] != "Anne" || got[1]["e"] != "Anna" {
+		t.Fatalf("evidence assignments = %v, want Anne then Anna", got)
+	}
+	m, err := rules.NewMatcher(dr, cat, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := m.Evaluate(relation.NewTuple("Ann", "Pariss"))
+	if out.Kind != rules.Repair || len(out.Repairs) != 1 || out.Repairs[0] != "Paris" {
+		t.Fatalf("outcome = %+v, want a repair to Paris", out)
+	}
+	if len(out.Canonical) != 1 || out.Canonical[0] != (rules.CanonCell{Col: 0, Value: "Anne"}) {
+		t.Errorf("Canonical = %v, want Name -> Anne", out.Canonical)
 	}
 }

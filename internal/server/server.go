@@ -37,6 +37,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -501,9 +502,24 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 	return context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 }
 
+// limitBody caps the request body at MaxBodyBytes. MaxBytesReader
+// gets the innermost ResponseWriter because only net/http's own writer
+// can mark the connection for closing when the limit is hit; behind a
+// middleware wrapper the connection would be reused with the unread
+// rest of the body still on it.
+func (s *Server) limitBody(w http.ResponseWriter, r *http.Request) io.ReadCloser {
+	for {
+		u, ok := w.(interface{ Unwrap() http.ResponseWriter })
+		if !ok {
+			return http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+		}
+		w = u.Unwrap()
+	}
+}
+
 // readTable parses the request body as CSV against the server schema.
 func (s *Server) readTable(w http.ResponseWriter, r *http.Request) (*relation.Table, bool) {
-	tb, err := relation.ReadCSV(s.schema.Name, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	tb, err := relation.ReadCSV(s.schema.Name, s.limitBody(w, r))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -607,7 +623,7 @@ func (s *Server) handleClean(w http.ResponseWriter, r *http.Request) {
 		trailer += ", " + TrailerConfidenceMean + ", " + TrailerConfidenceMin + ", " + TrailerConfidenceBelow
 	}
 	w.Header().Set("Trailer", trailer)
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	body := s.limitBody(w, r)
 	rc := http.NewResponseController(w)
 	// /clean interleaves reads of the request body with response
 	// writes; on HTTP/1 Go otherwise stops reading the body at the

@@ -58,9 +58,14 @@ func ED(a, b string) int {
 	return prev[lb]
 }
 
+// stackBand is the widest edit-distance band EDWithin keeps on the
+// stack: 2k+1 for k = 3, the largest threshold rule nodes may use
+// (rules.MaxEDThreshold).
+const stackBand = 2*3 + 1
+
 // EDWithin reports whether ED(a, b) <= k, using a banded dynamic
 // program that costs O(k·min(|a|,|b|)) and exits early when the whole
-// band exceeds k.
+// band exceeds k. It allocates nothing for k <= 3.
 func EDWithin(a, b string, k int) bool {
 	if k < 0 {
 		return false
@@ -79,11 +84,16 @@ func EDWithin(a, b string, k int) bool {
 		a, b = b, a
 		la, lb = lb, la
 	}
-	// Band of width 2k+1 around the diagonal.
+	// Band of width 2k+1 around the diagonal. Bands up to the widest
+	// rule nodes may use stay on the stack.
 	const inf = 1 << 29
 	width := 2*k + 1
-	prev := make([]int, width)
-	curr := make([]int, width)
+	var prevBuf, currBuf [stackBand]int
+	prev, curr := prevBuf[:], currBuf[:]
+	if width > stackBand {
+		prev, curr = make([]int, width), make([]int, width)
+	}
+	prev, curr = prev[:width], curr[:width]
 	// prev[d] holds D[i-1][i-1+d-k]; initialise row 0.
 	for d := 0; d < width; d++ {
 		j := d - k

@@ -84,6 +84,21 @@ func TestEDWithinAgreesWithED(t *testing.T) {
 	}
 }
 
+// TestEDWithinAllocFree: thresholds rule nodes may use keep the band
+// on the stack, so the matcher's per-candidate ED tests allocate
+// nothing.
+func TestEDWithinAllocFree(t *testing.T) {
+	for k := 1; k <= 3; k++ {
+		allocs := testing.AllocsPerRun(100, func() {
+			EDWithin("Israel Institute of Technology", "Israel Institute of Technolgy", k)
+			EDWithin("Pasteur Institute", "Paster Institute", k)
+		})
+		if allocs != 0 {
+			t.Errorf("EDWithin(k=%d): %v allocs per run, want 0", k, allocs)
+		}
+	}
+}
+
 func TestEDWithinNegativeK(t *testing.T) {
 	if EDWithin("a", "a", -1) {
 		t.Fatal("EDWithin with negative k must be false")
