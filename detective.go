@@ -217,7 +217,8 @@ func (c *Cleaner) Engine() *Engine { return c.engine }
 // Clean repairs and marks one tuple with the fast algorithm, leaving
 // the input untouched. Multi-version repairs resolve to the candidate
 // most similar to the current value; use CleanVersions to obtain all
-// fixpoints.
+// fixpoints. A tuple whose repair panics is quarantined: it comes back
+// unchanged and is tallied in the engine's Stats().Quarantined.
 func (c *Cleaner) Clean(t *Tuple) *Tuple { return c.engine.FastRepair(t) }
 
 // CleanBasic repairs one tuple with the chase-style basic algorithm
@@ -240,6 +241,7 @@ type Step = repair.Step
 func (c *Cleaner) Explain(t *Tuple) (*Tuple, []Step) { return c.engine.FastRepairExplain(t) }
 
 // CleanTable repairs and marks every tuple of tb into a new table.
+// Tuples whose repair panics are quarantined as in Clean.
 func (c *Cleaner) CleanTable(tb *Table) *Table { return c.engine.RepairTable(tb, true) }
 
 // CleanTableParallel is CleanTable fanned out over worker goroutines
@@ -250,7 +252,9 @@ func (c *Cleaner) CleanTableParallel(tb *Table, workers int) *Table {
 
 // StreamStats is the per-call accounting of one streaming clean:
 // rows written, quarantined and budget-degraded rows, and rows
-// answered by the pipeline's in-chunk duplicate cache.
+// answered from a cache instead of a fresh repair (the global repair
+// memo, or with the memo disabled the pipeline's in-chunk duplicate
+// cache).
 type StreamStats = repair.StreamResult
 
 // CleanCSVStream cleans CSV row by row without materializing the

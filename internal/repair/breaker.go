@@ -1,11 +1,6 @@
 package repair
 
-import (
-	"sync/atomic"
-
-	"detective/internal/kb"
-	"detective/internal/relation"
-)
+import "sync/atomic"
 
 // BreakerOptions configures the repair circuit breaker. The breaker
 // watches the rate of bad outcomes (quarantines and step-budget
@@ -16,8 +11,9 @@ import (
 // value leaves the breaker disabled.
 type BreakerOptions struct {
 	// Enabled turns the breaker on for the serving paths
-	// (RepairTable*, streaming cleans, RepairRow). The evaluation
-	// paths (FastRepair, BasicRepair, explanations) never consult it.
+	// (RepairTableParallel/RepairTableContext, the ensemble APIs,
+	// streaming cleans, RepairRow). The evaluation paths (FastRepair,
+	// RepairTable, BasicRepair, explanations) never consult it.
 	Enabled bool
 	// Window is how many full-repair outcomes one sample window holds.
 	// The trip ratio is computed over the current and previous
@@ -279,8 +275,8 @@ func (e *Engine) breakerEngaged() bool {
 }
 
 // breakerObserve folds one completed full repair into the global and
-// per-rule breakers. It is called exactly once per non-degraded
-// serving-path tuple — including from panic recovery, where st (though
+// per-rule breakers. runSafe calls it exactly once per non-degraded
+// serving-path tuple — including after a panic, where st (though
 // abandoned for pooling) still carries the rule attribution.
 func (e *Engine) breakerObserve(st *fastState, oc tupleOutcome) {
 	bad := oc != tupleOK
@@ -306,48 +302,4 @@ func (e *Engine) breakerObserve(st *fastState, oc tupleOutcome) {
 			e.ruleBreakers[p].resolveProbe(p == badRule)
 		}
 	}
-}
-
-// detectOnlyTupleOn is the degraded clone-based repair: rules evaluate
-// and mark, values stay original, the memo is untouched. Used by the
-// table path while the breaker is open.
-func (e *Engine) detectOnlyTupleOn(g *kb.Graph, t *relation.Tuple) (out *relation.Tuple, oc tupleOutcome) {
-	st := e.getStateOn(g)
-	st.detectOnly = true
-	defer func() {
-		if r := recover(); r != nil {
-			out, oc = t.Clone(), tupleQuarantined
-			e.count(oc, nil)
-		}
-	}()
-	cl := t.Clone()
-	ok := e.runFast(cl, st)
-	e.putState(st)
-	if !ok {
-		out, oc = t.Clone(), tupleBudgetExhausted
-	} else {
-		out, oc = cl, tupleOK
-	}
-	e.count(oc, nil)
-	return out, oc
-}
-
-// detectOnlyRowOn is detectOnlyTupleOn's in-place streaming variant.
-// On a non-OK outcome tup is left marked-but-original or partially
-// marked; the caller restores the original record.
-func (e *Engine) detectOnlyRowOn(g *kb.Graph, tup *relation.Tuple) (oc tupleOutcome) {
-	st := e.getStateOn(g)
-	st.detectOnly = true
-	defer func() {
-		if r := recover(); r != nil {
-			oc = tupleQuarantined
-		}
-		e.count(oc, nil)
-	}()
-	ok := e.runFast(tup, st)
-	e.putState(st)
-	if !ok {
-		return tupleBudgetExhausted
-	}
-	return tupleOK
 }

@@ -472,7 +472,7 @@ func (e *Engine) basicRepair(t *relation.Tuple, alts map[string][]string) *relat
 			}
 			if applied++; applied > e.stepBudget {
 				// Degrade to keep-original-value rather than loop.
-				e.count(tupleBudgetExhausted, nil)
+				e.countN(tupleBudgetExhausted, 1)
 				return t.Clone()
 			}
 			e.apply(cl, out, 0, alts, false, nil)
@@ -481,7 +481,7 @@ func (e *Engine) basicRepair(t *relation.Tuple, alts map[string][]string) *relat
 			break
 		}
 		if !progress {
-			e.count(tupleOK, nil)
+			e.countN(tupleOK, 1)
 			return cl
 		}
 	}
@@ -492,140 +492,145 @@ func (e *Engine) basicRepair(t *relation.Tuple, alts map[string][]string) *relat
 // stable); value-level node and edge checks are memoized and shared
 // across rules through the inverted indexes; failed shared evidence
 // checks prune every dependent rule; candidate retrieval uses the
-// signature indexes.
+// signature indexes. The input tuple is not modified. A tuple whose
+// repair panics is quarantined: the original tuple is returned
+// unchanged and tallied in Stats.Quarantined.
 func (e *Engine) FastRepair(t *relation.Tuple) *relation.Tuple {
-	return e.fastRepair(t, nil)
+	out, _ := e.repairTuple(context.TODO(), t, rowEval)
+	return out
 }
 
-func (e *Engine) fastRepair(t *relation.Tuple, alts map[string][]string) *relation.Tuple {
-	cl, oc := e.fastRepairOutcome(t, alts)
-	e.count(oc, nil)
-	return cl
+// rowMode selects which policy layers repairRow puts around a repair.
+type rowMode uint8
+
+const (
+	// rowEval is the evaluation path (FastRepair, RepairTable): memo
+	// and quarantine only. The recorder and the breakers are never
+	// consulted.
+	rowEval rowMode = iota
+	// rowServe is the serving path: the row is also recorded for
+	// canary replay and the repair runs under the circuit breakers.
+	rowServe
+	// rowEnsemble is rowServe with the ensemble vote in place of the
+	// single-engine repair, memoized under salted keys.
+	rowEnsemble
+)
+
+// repairTuple is repairRow into a freshly allocated result tuple, for
+// the APIs that hand the caller a new tuple per input.
+func (e *Engine) repairTuple(ctx context.Context, t *relation.Tuple, mode rowMode) (*relation.Tuple, tupleOutcome) {
+	n := len(t.Values)
+	out := &relation.Tuple{Values: make([]string, n), Marked: make([]bool, n)}
+	oc, _, _ := e.repairRow(ctx, out, t.Values, t.Marked, true, mode)
+	return out, oc
 }
 
-// fastRepairOutcome is the uncounted core of fastRepair, fronted by
-// the global memo: a hit replays the cached result byte-identically;
-// a miss runs the repair and memoizes it under the generation it
-// pinned. Multi-version runs (alts != nil) bypass the memo — they
-// record per-cell candidate lists the memo does not store.
-func (e *Engine) fastRepairOutcome(t *relation.Tuple, alts map[string][]string) (*relation.Tuple, tupleOutcome) {
-	g := e.Cat.Graph()
-	if e.memo == nil || alts != nil {
-		return e.fastRepairOutcomeOn(g, t, alts)
-	}
-	gen := g.Generation()
-	fp := e.memo.tupleFP(t.Values, t.Marked)
-	if cl, oc, _, ok := e.memo.getTupleClone(gen, fp, t.Values, t.Marked); ok {
-		return cl, oc
-	}
-	cl, oc := e.fastRepairOutcomeOn(g, t, nil)
-	e.memo.putTuple(gen, fp, t.Values, t.Marked, cl, oc, 1, true)
-	return cl, oc
-}
-
-// fastRepairOutcomeOn is fastRepairOutcome's uncached core, pinned to
-// g for the whole tuple. It returns the repaired clone, or an
-// untouched clone of the original together with tupleBudgetExhausted
-// when the step budget ran out.
-func (e *Engine) fastRepairOutcomeOn(g *kb.Graph, t *relation.Tuple, alts map[string][]string) (*relation.Tuple, tupleOutcome) {
-	cl := t.Clone()
-	st := e.getStateOn(g)
-	st.alts = alts
-	ok := e.runFast(cl, st)
-	e.putState(st)
-	if !ok {
-		// Step budget exhausted: discard the partial repair and keep
-		// the original values.
-		return t.Clone(), tupleBudgetExhausted
-	}
-	return cl, tupleOK
-}
-
-// repairTupleSafe is fastRepairOutcome hardened for serving: a panic
-// anywhere in the repair of this tuple — a poisoned value tripping a
-// similarity kernel, a buggy custom matcher — is caught, the tuple is
-// quarantined (returned as an untouched clone of the original), and
-// the engine keeps going. The panicking repair's pooled state is
-// deliberately abandoned rather than recycled. The outcome is tallied
-// into the engine's lifetime counters here, exactly once.
+// repairRow is the one per-row core behind every repair entry point.
+// It repairs the input row (vals, marks mk; nil mk is unmarked) into
+// the caller-owned dst, whose Values and Marked must have the schema's
+// arity, and reports the outcome, the row confidence (1 off the
+// ensemble path) and whether the memo served the row. dst is left
+// holding the row to emit: the repair on tupleOK, the untouched input
+// otherwise (keep-original-value).
 //
-// The memo read-through lives here rather than delegating to
-// fastRepairOutcome so the quarantine verdict is memoized under the
-// same pinned generation the panicking repair ran on: replaying a
-// poisoned row quarantines from the cache without re-tripping the
-// kernel.
-// The circuit breaker fronts everything: while open, the tuple is
+// On the serving modes the row is recorded for canary replay and the
+// circuit breaker fronts everything: while it is open the row is
 // served detect-only (marks, no rewrites) and the memo is bypassed in
-// both directions; a half-open probe runs a fresh full repair —
-// skipping the memo read so a cached quarantine verdict cannot fail
-// the probe forever — and its outcome decides whether the breaker
-// closes or reopens.
-func (e *Engine) repairTupleSafe(t *relation.Tuple) (out *relation.Tuple, oc tupleOutcome) {
-	if rr := e.recorder; rr != nil {
-		rr.Record(t.Values)
+// both directions, so degraded verdicts never outlive the incident. A
+// half-open probe runs a fresh repair, skipping the memo read so a
+// cached quarantine verdict cannot fail the probe forever; its verdict
+// overwrites (heals) the entry. The graph is pinned once, so the memo
+// lookup, the repair and the insert all see one generation, and a
+// quarantine or budget verdict is memoized like a repair: a replay
+// degrades identically without re-tripping the kernel. owned follows
+// putTuple's contract.
+func (e *Engine) repairRow(ctx context.Context, dst *relation.Tuple, vals []string, mk []bool, owned bool, mode rowMode) (tupleOutcome, float64, bool) {
+	var degrade, probe bool
+	if mode != rowEval {
+		if rr := e.recorder; rr != nil {
+			rr.Record(vals)
+		}
+		degrade, probe = e.breakerAdmit()
 	}
 	g := e.Cat.Graph()
-	degrade, probe := e.breakerAdmit()
-	if degrade {
-		return e.detectOnlyTupleOn(g, t)
-	}
 	memo := e.memo
+	if degrade {
+		memo = nil
+	}
 	var gen int64
 	var fp uint64
 	if memo != nil {
 		gen = g.Generation()
-		fp = memo.tupleFP(t.Values, t.Marked)
+		fp = memo.tupleFP(vals, mk)
+		if mode == rowEnsemble {
+			fp ^= ensembleFPSalt
+		}
 		if !probe {
-			if cl, moc, _, ok := memo.getTupleClone(gen, fp, t.Values, t.Marked); ok {
-				e.count(moc, nil)
-				return cl, moc
+			if oc, conf, ok := memo.getRowInto(gen, fp, vals, mk, dst); ok {
+				e.countN(oc, 1)
+				return oc, conf, true
 			}
 		}
 	}
 	st := e.getStateOn(g)
-	st.brk = true
+	st.detectOnly = degrade
+	st.brk = mode != rowEval && !degrade
 	st.probe = probe
-	defer func() {
-		if r := recover(); r != nil {
-			out, oc = t.Clone(), tupleQuarantined
-			e.breakerObserve(st, oc)
-			e.count(oc, nil)
-			if memo != nil {
-				memo.putTuple(gen, fp, t.Values, t.Marked, out, oc, 1, true)
-			}
-		}
-	}()
-	cl := t.Clone()
-	if e.runFast(cl, st) {
-		out, oc = cl, tupleOK
+	resetRow(dst, vals, mk)
+	oc, conf := tupleOK, 1.0
+	if mode == rowEnsemble && !degrade {
+		oc, conf = e.ensembleRow(ctx, st, dst, vals)
 	} else {
-		out, oc = t.Clone(), tupleBudgetExhausted
+		oc = e.runSafe(st, dst, vals, mk)
 	}
-	e.breakerObserve(st, oc)
-	e.putState(st)
-	e.count(oc, nil)
 	if memo != nil {
-		memo.putTuple(gen, fp, t.Values, t.Marked, out, oc, 1, true)
+		memo.putTuple(gen, fp, vals, mk, dst, oc, conf, owned)
 	}
-	return out, oc
+	return oc, conf, false
 }
 
-// repairInPlace runs the fast algorithm directly on t, mutating it.
-// It is the zero-copy core used by the streaming cleaner. It reports
-// whether the repair completed within the step budget; on false, t is
-// left in a partially repaired state the caller must discard.
-func (e *Engine) repairInPlace(t *relation.Tuple) bool {
-	return e.repairInPlaceOn(e.Cat.Graph(), t)
+// runSafe is the quarantined runner: it runs the fast repair of dst,
+// which holds the input row (vals, mk), on st's pinned graph. A panic
+// anywhere in the repair — a poisoned value tripping a similarity
+// kernel, a buggy custom matcher — quarantines the tuple, and a run
+// that exhausts the step budget degrades; either way dst is restored
+// to the input. The panicking repair's pooled state is abandoned
+// rather than recycled; every other run returns st to the pool. When
+// st.brk is set the outcome is folded into the breakers (st still
+// carries the rule attribution after a panic). The outcome is tallied
+// into the engine's lifetime counters exactly once.
+func (e *Engine) runSafe(st *fastState, dst *relation.Tuple, vals []string, mk []bool) (oc tupleOutcome) {
+	defer func() {
+		panicked := recover() != nil
+		if panicked {
+			oc = tupleQuarantined
+		}
+		if st.brk {
+			e.breakerObserve(st, oc)
+		}
+		if !panicked {
+			e.putState(st)
+		}
+		if oc != tupleOK {
+			resetRow(dst, vals, mk)
+		}
+		e.countN(oc, 1)
+	}()
+	if !e.runFast(dst, st) {
+		return tupleBudgetExhausted
+	}
+	return tupleOK
 }
 
-// repairInPlaceOn is repairInPlace pinned to g, so streaming callers
-// that memoize the result tag it with the generation the repair
-// actually saw.
-func (e *Engine) repairInPlaceOn(g *kb.Graph, t *relation.Tuple) bool {
-	st := e.getStateOn(g)
-	ok := e.runFast(t, st)
-	e.putState(st)
-	return ok
+// resetRow loads the input row (vals, marks mk; nil mk is unmarked)
+// into dst.
+func resetRow(dst *relation.Tuple, vals []string, mk []bool) {
+	copy(dst.Values, vals)
+	if mk == nil {
+		clear(dst.Marked)
+	} else {
+		copy(dst.Marked, mk)
+	}
 }
 
 // runFast drives the grouped rule schedule of Algorithm 2 over cl. It
@@ -699,7 +704,7 @@ type fastState struct {
 	exceeded  bool // step budget exhausted for this tuple
 
 	// Circuit-breaker bookkeeping (see breaker.go). brk marks a tuple
-	// whose caller will fold the outcome into the breakers via
+	// whose outcome runSafe folds into the breakers via
 	// breakerObserve; per-rule breakers are consulted only then, so an
 	// eval-path tuple can never strand a probe token. lastRule is the
 	// rule index being evaluated, read by panic recovery for
@@ -721,8 +726,8 @@ func (e *Engine) getState() *fastState {
 }
 
 // getStateOn is getState pinned to an already-chosen graph, for
-// callers (the memo read-throughs) that must tag their results with
-// the exact generation the repair ran on.
+// repairRow, which must tag its memo entry with the exact generation
+// the repair ran on.
 func (e *Engine) getStateOn(g *kb.Graph) *fastState {
 	st, _ := e.pool.Get().(*fastState)
 	if st == nil {
@@ -927,7 +932,8 @@ evaluate:
 }
 
 // RepairTable applies the engine to every tuple of tb and returns the
-// cleaned copy. fast selects FastRepair over BasicRepair.
+// cleaned copy. fast selects FastRepair over BasicRepair; with fast,
+// tuples whose repair panics are quarantined as in FastRepair.
 func (e *Engine) RepairTable(tb *relation.Table, fast bool) *relation.Table {
 	out, _ := e.repairTable(tb, fast, false)
 	return out
@@ -972,7 +978,7 @@ func (e *Engine) RepairTableContext(ctx context.Context, tb *relation.Table, wor
 	out := &relation.Table{Schema: tb.Schema, Tuples: make([]*relation.Tuple, tb.Len())}
 	var wg sync.WaitGroup
 	var next atomic.Int64
-	var repaired, quarantined, exhausted atomic.Int64
+	var tally [3]atomic.Int64 // by tupleOutcome
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -982,24 +988,17 @@ func (e *Engine) RepairTableContext(ctx context.Context, tb *relation.Table, wor
 				if i >= tb.Len() {
 					return
 				}
-				t, oc := e.repairTupleSafe(tb.Tuples[i])
+				t, oc := e.repairTuple(ctx, tb.Tuples[i], rowServe)
 				out.Tuples[i] = t
-				switch oc {
-				case tupleOK:
-					repaired.Add(1)
-				case tupleQuarantined:
-					quarantined.Add(1)
-				case tupleBudgetExhausted:
-					exhausted.Add(1)
-				}
+				tally[oc].Add(1)
 			}
 		}()
 	}
 	wg.Wait()
 	stats := Stats{
-		Repaired:        repaired.Load(),
-		Quarantined:     quarantined.Load(),
-		BudgetExhausted: exhausted.Load(),
+		Repaired:        tally[tupleOK].Load(),
+		Quarantined:     tally[tupleQuarantined].Load(),
+		BudgetExhausted: tally[tupleBudgetExhausted].Load(),
 	}
 	done := int(stats.Repaired + stats.Quarantined + stats.BudgetExhausted)
 	if err := ctx.Err(); err != nil {
@@ -1026,10 +1025,19 @@ func (e *Engine) repairTable(tb *relation.Table, fast, trackAlts bool) (*relatio
 		if trackAlts {
 			alts = make(map[string][]string)
 		}
-		if fast {
-			out.Tuples[i] = e.fastRepair(t, alts)
-		} else {
+		switch {
+		case !fast:
 			out.Tuples[i] = e.basicRepair(t, alts)
+		case alts == nil:
+			out.Tuples[i] = e.FastRepair(t)
+		default:
+			// Multi-version runs record per-cell candidate lists the
+			// memo does not store, so they bypass it.
+			cl := t.Clone()
+			st := e.getState()
+			st.alts = alts
+			e.runSafe(st, cl, t.Values, t.Marked)
+			out.Tuples[i] = cl
 		}
 		for col, vs := range alts {
 			cellAlts[[2]int{i, e.Schema.MustCol(col)}] = vs

@@ -15,7 +15,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"detective/internal/kb"
 	"detective/internal/relation"
 	"detective/internal/repair/ensemble"
 	"detective/internal/telemetry"
@@ -195,27 +194,15 @@ func (e *Engine) EnsembleReliability() map[string]float64 {
 	return out
 }
 
-// drLeg runs the detective leg of the ensemble on tup (which holds a
-// fresh copy of the input record): the ordinary fast repair in place,
-// panic-quarantined and breaker-observed, its outcome counted into
-// the engine's lifetime counters exactly once. On a non-OK outcome
-// tup is restored to the original record.
-func (e *Engine) drLeg(g *kb.Graph, tup *relation.Tuple, rec []string, probe bool) tupleOutcome {
-	oc := e.repairRowSafeOn(g, tup, probe)
-	if oc != tupleOK {
-		copyRecInto(tup, rec)
-	}
-	return oc
-}
-
-// ensembleRowOn is the uncached ensemble core for one unmarked input
-// record. The auxiliary proposers run concurrently with the detective
-// leg; the weighted vote then settles every contested cell into tup,
-// whose Values/Marked must have the schema's arity. It returns the
-// detective leg's outcome (the row-level degradation verdict) and the
-// row confidence — the minimum winning confidence over decided cells,
-// 1 when no cell was contested.
-func (e *Engine) ensembleRowOn(ctx context.Context, g *kb.Graph, tup *relation.Tuple, rec []string, probe bool) (tupleOutcome, float64) {
+// ensembleRow is the ensemble vote for one unmarked input record,
+// run by repairRow on a memo miss. tup already holds rec; the
+// auxiliary proposers run concurrently with the detective leg, the
+// quarantined fast repair of tup on st. The weighted vote then settles
+// every contested cell into tup. It returns the detective leg's
+// outcome (the row-level degradation verdict) and the row confidence —
+// the minimum winning confidence over decided cells, 1 when no cell
+// was contested.
+func (e *Engine) ensembleRow(ctx context.Context, st *fastState, tup *relation.Tuple, rec []string) (tupleOutcome, float64) {
 	es := e.ens
 	n := 1 + len(es.proposers)
 	byEngine := make([][]ensemble.Proposal, n)
@@ -237,8 +224,7 @@ func (e *Engine) ensembleRowOn(ctx context.Context, g *kb.Graph, tup *relation.T
 		}(1+i, p)
 	}
 
-	copyRecInto(tup, rec)
-	oc := e.drLeg(g, tup, rec, probe)
+	oc := e.runSafe(st, tup, rec, nil)
 
 	// The detective leg's proposals are the cells it rewrote; cells it
 	// marked without rewriting are proven correct and removed from the
@@ -308,43 +294,6 @@ func (e *Engine) ensembleRowOn(ctx context.Context, g *kb.Graph, tup *relation.T
 	return oc, rowConf
 }
 
-// repairRowEnsembleMemo is the ensemble analogue of repairRowMemo:
-// recorder, breaker fronting, then the global memo (under salted keys
-// carrying the row confidence) read-through around ensembleRowOn. tup
-// is left holding the row to emit; rec must be an unmarked input row
-// and owned follows putTuple's contract.
-func (e *Engine) repairRowEnsembleMemo(ctx context.Context, tup *relation.Tuple, rec []string, owned bool) (tupleOutcome, float64, bool) {
-	if rr := e.recorder; rr != nil {
-		rr.Record(rec)
-	}
-	g := e.Cat.Graph()
-	degrade, probe := e.breakerAdmit()
-	if degrade {
-		copyRecInto(tup, rec)
-		oc := e.detectOnlyRowOn(g, tup)
-		if oc != tupleOK {
-			copyRecInto(tup, rec)
-		}
-		return oc, 1, false
-	}
-	memo := e.memo
-	if memo == nil {
-		oc, conf := e.ensembleRowOn(ctx, g, tup, rec, probe)
-		return oc, conf, false
-	}
-	gen := g.Generation()
-	fp := memo.tupleFP(rec, nil) ^ ensembleFPSalt
-	if !probe {
-		if oc, conf, ok := memo.getRowInto(gen, fp, rec, tup); ok {
-			e.count(oc, nil)
-			return oc, conf, true
-		}
-	}
-	oc, conf := e.ensembleRowOn(ctx, g, tup, rec, probe)
-	memo.putTuple(gen, fp, rec, nil, tup, oc, conf, owned)
-	return oc, conf, false
-}
-
 // RepairTableEnsemble runs the ensemble over every tuple of tb
 // (unmarked input) and returns the repaired copy together with the
 // per-row confidences. It errors after a context cancellation with a
@@ -363,7 +312,7 @@ func (e *Engine) RepairTableEnsemble(ctx context.Context, tb *relation.Table) (*
 			return out, confs, &PartialError{Done: done, Err: err}
 		}
 		tup := &relation.Tuple{Values: make([]string, arity), Marked: make([]bool, arity)}
-		_, conf, _ := e.repairRowEnsembleMemo(ctx, tup, t.Values, true)
+		_, conf, _ := e.repairRow(ctx, tup, t.Values, nil, true, rowEnsemble)
 		out.Tuples[i] = tup
 		confs[i] = conf
 		done++
@@ -377,6 +326,6 @@ func (e *Engine) RepairTableEnsemble(ctx context.Context, tb *relation.Table) (*
 // whether the global memo served the row. The engine must have been
 // built with Options.Ensemble.Enabled.
 func (e *Engine) RepairRowEnsemble(ctx context.Context, dst *relation.Tuple, rec []string) (RowOutcome, float64, bool) {
-	oc, conf, hit := e.repairRowEnsembleMemo(ctx, dst, rec, true)
+	oc, conf, hit := e.repairRow(ctx, dst, rec, nil, true, rowEnsemble)
 	return RowOutcome(oc), conf, hit
 }

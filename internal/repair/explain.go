@@ -59,35 +59,25 @@ func (s Step) String() string {
 }
 
 // FastRepairExplain is FastRepair plus the ordered list of rule
-// applications that produced the result.
+// applications that produced the result. A repair that panics or
+// exhausts the step budget yields the original tuple and no steps.
 func (e *Engine) FastRepairExplain(t *relation.Tuple) (*relation.Tuple, []Step) {
-	cl := t.Clone()
-	st := e.getState()
-	steps := []Step{}
-	st.steps = &steps
-	ok := e.runFast(cl, st)
-	e.putState(st)
-	if !ok {
-		// Step budget exhausted: keep the original values; the partial
-		// step trace would describe a repair that was discarded.
-		e.count(tupleBudgetExhausted, nil)
-		return t.Clone(), nil
-	}
-	e.count(tupleOK, nil)
-	return cl, steps
+	out, steps, _ := e.FastRepairExplainSafe(t)
+	return out, steps
 }
 
-// FastRepairExplainSafe is FastRepairExplain under the per-tuple
-// panic quarantine: a repair that panics yields the original tuple,
-// no steps, and quarantined=true, tallied in Stats.Quarantined.
+// FastRepairExplainSafe is FastRepairExplain that also reports the
+// per-tuple panic quarantine: a repair that panics yields the original
+// tuple, no steps, and quarantined=true, tallied in Stats.Quarantined.
 func (e *Engine) FastRepairExplainSafe(t *relation.Tuple) (out *relation.Tuple, steps []Step, quarantined bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			out, steps, quarantined = t.Clone(), nil, true
-			e.count(tupleQuarantined, nil)
-		}
-	}()
-	out, steps = e.FastRepairExplain(t)
+	out = t.Clone()
+	st := e.getState()
+	steps = []Step{}
+	st.steps = &steps
+	if oc := e.runSafe(st, out, t.Values, t.Marked); oc != tupleOK {
+		// The partial step trace would describe a discarded repair.
+		return out, nil, oc == tupleQuarantined
+	}
 	return out, steps, false
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"detective/internal/dataset"
 	"detective/internal/faultinject"
+	"detective/internal/relation"
 	"detective/internal/repair"
 )
 
@@ -50,6 +51,57 @@ func TestFaultPanicQuarantineParallel(t *testing.T) {
 	if got := e.Stats(); got.Quarantined != 1 {
 		t.Errorf("engine lifetime Quarantined = %d, want 1", got.Quarantined)
 	}
+
+	// Every other fast entry point runs through the same row core, so
+	// each quarantines the poisoned row identically on a fresh engine:
+	// returned unchanged and unmarked, tallied once.
+	poisoned := dirty.Tuples[2]
+	fresh := func(t *testing.T) *repair.Engine {
+		t.Helper()
+		e, err := repair.NewEngine(ex.Rules, ex.KB, ex.Schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	quarantined := func(t *testing.T, e *repair.Engine, got *relation.Tuple, before int64) {
+		t.Helper()
+		if !got.EqualMarked(poisoned) {
+			t.Errorf("poisoned row was modified: %v", got)
+		}
+		if q := e.Stats().Quarantined; q != before+1 {
+			t.Errorf("Quarantined = %d, want %d", q, before+1)
+		}
+	}
+	t.Run("RepairTable", func(t *testing.T) {
+		e := fresh(t)
+		quarantined(t, e, e.RepairTable(dirty, true).Tuples[2], 0)
+	})
+	t.Run("FastRepair", func(t *testing.T) {
+		e := fresh(t)
+		quarantined(t, e, e.FastRepair(poisoned), 0)
+	})
+	t.Run("FastRepairAfterStream", func(t *testing.T) {
+		// The stream memoizes the quarantine verdict; FastRepair then
+		// replays it from the memo.
+		e := fresh(t)
+		var in, out bytes.Buffer
+		if err := dirty.WriteCSV(&in); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.CleanCSVStreamContext(context.Background(), &in, &out, false); err != nil {
+			t.Fatal(err)
+		}
+		quarantined(t, e, e.FastRepair(poisoned), 1)
+	})
+	t.Run("FastRepairExplain", func(t *testing.T) {
+		e := fresh(t)
+		got, steps := e.FastRepairExplain(poisoned)
+		quarantined(t, e, got, 0)
+		if len(steps) != 0 {
+			t.Errorf("quarantined explain kept %d steps", len(steps))
+		}
+	})
 }
 
 func TestFaultPanicQuarantineStream(t *testing.T) {

@@ -51,7 +51,7 @@ const DefaultStreamChunkSize = 256
 
 // rowChunk is one unit of pipeline work: a batch of copied input
 // rows, and after a worker has processed it, the formatted output
-// rows plus the outcome tallies for the batch.
+// rows plus the batch's tally.
 //
 // Chunks are recycled through rowChunkPool: rows and out are
 // fixed-stride views into the flat rowBuf/outBuf arenas, so a full
@@ -68,27 +68,18 @@ type rowChunk struct {
 	rowBuf []string // flat arena behind rows
 	outBuf []string // flat arena behind out
 
-	quarantined int
-	budget      int
-	deduped     int
-
-	// Ensemble-mode per-chunk confidence aggregates (zero otherwise).
-	confSum float64
-	confMin float64
-	below   int
+	res StreamResult // the batch's tally, merged by reassembly (Rows unused)
 }
 
 var rowChunkPool = sync.Pool{New: func() any { return new(rowChunk) }}
 
 // getRowChunk returns a recycled chunk sized for chunkSize rows of
-// arity cells, with tallies zeroed and row headers reset. Stale string
+// arity cells, with row headers reset. Stale string
 // headers from the previous use stay in the arenas until overwritten;
 // they pin at most one chunk's worth of cells per pooled object.
 func getRowChunk(seq, chunkSize, arity int) *rowChunk {
 	c := rowChunkPool.Get().(*rowChunk)
 	c.seq = seq
-	c.quarantined, c.budget, c.deduped = 0, 0, 0
-	c.confSum, c.confMin, c.below = 0, 1, 0
 	if n := chunkSize * arity; cap(c.rowBuf) < n {
 		c.rowBuf = make([]string, n)
 	}
@@ -117,10 +108,7 @@ func (c *rowChunk) appendRow(rec []string) {
 // CSV stream. The header has been written to cw and cr has
 // ReuseRecord set; arity is the schema arity.
 func (e *Engine) cleanStreamParallel(ctx context.Context, cr *csv.Reader, cw *csv.Writer, arity int, marked, ens bool) (StreamResult, error) {
-	var res StreamResult
-	if ens {
-		res.MinConfidence = 1
-	}
+	res := newStreamResult(ens)
 	workers := e.opts.Workers
 	chunkSize := e.opts.ChunkSize
 	if chunkSize <= 0 {
@@ -234,16 +222,7 @@ func (e *Engine) cleanStreamParallel(ctx context.Context, cr *csv.Reader, cw *cs
 				}
 			}
 		}
-		res.Quarantined += c.quarantined
-		res.BudgetExhausted += c.budget
-		res.Deduped += c.deduped
-		if ens {
-			res.ConfidenceSum += c.confSum
-			if c.confMin < res.MinConfidence {
-				res.MinConfidence = c.confMin
-			}
-			res.BelowThreshold += c.below
-		}
+		res.merge(c.res)
 		return nil
 	}
 	next := 0
@@ -297,11 +276,12 @@ func (e *Engine) cleanStreamParallel(ctx context.Context, cr *csv.Reader, cw *cs
 // with the global memo enabled each row is a read-through of the
 // cross-request cache, deduplicating identical rows across chunks,
 // calls, and connections, and counting each memo-served row exactly
-// once in c.deduped and the stream-dedup telemetry. With the memo
+// once in c.res.Deduped and the stream-dedup telemetry. With the memo
 // disabled, the pre-memo in-chunk duplicate map stands in, limited to
 // one chunk. Outcome tallies count every row, duplicates included, so
 // the stream's accounting matches the serial path.
 func (e *Engine) repairChunk(ctx context.Context, c *rowChunk, marked, ens bool) {
+	c.res = newStreamResult(ens)
 	arity := 0
 	if len(c.rows) > 0 {
 		arity = len(c.rows[0])
@@ -327,7 +307,7 @@ func (e *Engine) repairChunk(ctx context.Context, c *rowChunk, marked, ens bool)
 		c.out = append(c.out, out)
 		return out
 	}
-	// In-chunk dedup sits in front of repairRowMemo on both the
+	// In-chunk dedup sits in front of repairRow on both the
 	// memo-enabled and memo-disabled paths. With the memo on it is a
 	// contention shield, not a correctness feature: skewed corpora
 	// repeat the same hot row many times per chunk, and N workers
@@ -367,11 +347,7 @@ func (e *Engine) repairChunk(ctx context.Context, c *rowChunk, marked, ens bool)
 				// out row stays a distinct arena view, which is what
 				// makes recycling the chunk safe.
 				copy(nextOut(), ent.out)
-				tallyChunkOutcome(c, ent.oc)
-				if ens {
-					tallyChunkConf(c, ent.conf, e.ens.threshold)
-				}
-				c.deduped++
+				e.tally(&c.res, ent.oc, ent.conf, true, ens)
 				// Duplicates still count as processed tuples in the
 				// engine's lifetime and telemetry counters — batched
 				// into the per-chunk flush below.
@@ -379,29 +355,10 @@ func (e *Engine) repairChunk(ctx context.Context, c *rowChunk, marked, ens bool)
 				continue
 			}
 		}
-		// repairRowMemo fronts the repair with the row recorder, the
-		// circuit breaker, and (when enabled) the global memo, with
-		// keep-original-value degradation as on the serial path.
 		// owned=true: the reader stage copied the row out of the
 		// csv.Reader's buffers, so the memo may retain its strings.
-		var oc tupleOutcome
-		var hit bool
-		conf := 1.0
-		if ens {
-			oc, conf, hit = e.repairRowEnsembleMemo(ctx, tup, rec, true)
-			tallyChunkConf(c, conf, e.ens.threshold)
-		} else {
-			oc, hit = e.repairRowMemo(tup, rec, true)
-		}
 		out := nextOut()
-		formatRow(out[:arity], tup, marked)
-		if ens {
-			out[arity] = formatConf(conf)
-		}
-		tallyChunkOutcome(c, oc)
-		if hit {
-			c.deduped++
-		}
+		oc, conf, _ := e.streamRow(ctx, &c.res, tup, rec, out, marked, true, ens)
 		if cached {
 			dedup[fp] = dedupEntry{rec: rec, out: out, oc: oc, conf: conf}
 		}
@@ -409,8 +366,8 @@ func (e *Engine) repairChunk(ctx context.Context, c *rowChunk, marked, ens bool)
 	for oc, n := range dupOutcomes {
 		e.countN(tupleOutcome(oc), n)
 	}
-	if c.deduped > 0 {
-		e.instr.streamDeduped.Add(int64(c.deduped))
+	if c.res.Deduped > 0 {
+		e.instr.streamDeduped.Add(int64(c.res.Deduped))
 	}
 	e.instr.streamChunks.Inc()
 }
@@ -424,23 +381,4 @@ func chunkRowFP(rec []string) uint64 {
 		h = fpString(h, v)
 	}
 	return fpFinish(h)
-}
-
-func tallyChunkConf(c *rowChunk, conf, threshold float64) {
-	c.confSum += conf
-	if conf < c.confMin {
-		c.confMin = conf
-	}
-	if conf < threshold {
-		c.below++
-	}
-}
-
-func tallyChunkOutcome(c *rowChunk, oc tupleOutcome) {
-	switch oc {
-	case tupleQuarantined:
-		c.quarantined++
-	case tupleBudgetExhausted:
-		c.budget++
-	}
 }

@@ -378,3 +378,46 @@ func TestFastRepairColdAllocs(t *testing.T) {
 	}
 	t.Logf("%.2f allocs per tuple", perTuple)
 }
+
+// TestMemoHitAllocs pins the allocation cost of a warm memo hit, the
+// path a hot serving workload takes for every row: RepairRow replays
+// into the caller's tuple without allocating, and FastRepair
+// allocates only its result tuple (the struct and its two slices).
+func TestMemoHitAllocs(t *testing.T) {
+	bundle := dataset.NewNobel(1, 200)
+	inj := bundle.Inject(dataset.Noise{Rate: 0.10, TypoFrac: 0.5, Seed: 1})
+	e, err := repair.NewEngine(bundle.Rules, bundle.Yago, bundle.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Warm()
+	tuples := inj.Dirty.Tuples
+	arity := bundle.Schema.Arity()
+	dst := &relation.Tuple{Values: make([]string, arity), Marked: make([]bool, arity)}
+	for _, tu := range tuples {
+		e.RepairRow(dst, tu.Values) // populate the memo
+	}
+	i, misses := 0, 0
+	row := func() {
+		if _, hit := e.RepairRow(dst, tuples[i%len(tuples)].Values); !hit {
+			misses++
+		}
+		i++
+	}
+	if got := testing.AllocsPerRun(200, row); got != 0 {
+		t.Errorf("RepairRow memo hit allocates %.1f times, want 0", got)
+	}
+	// FastRepair of an unmarked table tuple shares the memo entry
+	// RepairRow inserted for the same values.
+	before := e.MemoStats().Tuple.Misses
+	fast := func() {
+		e.FastRepair(tuples[i%len(tuples)])
+		i++
+	}
+	if got := testing.AllocsPerRun(200, fast); got > 3 {
+		t.Errorf("FastRepair memo hit allocates %.1f times, want <= 3", got)
+	}
+	if misses > 0 || e.MemoStats().Tuple.Misses != before {
+		t.Fatalf("warm rows missed the memo (%d RepairRow misses)", misses)
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"io"
 	"strconv"
 
-	"detective/internal/kb"
 	"detective/internal/relation"
 )
 
@@ -139,7 +138,7 @@ func formatConf(conf float64) string { return strconv.FormatFloat(conf, 'f', 3, 
 // tuple, and the engine's pooled repair state are reused, so the only
 // per-row allocations left are the rewritten cell values themselves.
 func (e *Engine) cleanStreamSerial(ctx context.Context, cr *csv.Reader, cw *csv.Writer, arity int, marked, ens bool) (StreamResult, error) {
-	var res StreamResult
+	res := newStreamResult(ens)
 	// partial wraps a mid-stream failure: everything written so far is
 	// pushed through to the sink first, so the error's Done count is
 	// also the number of rows the consumer actually received.
@@ -150,7 +149,6 @@ func (e *Engine) cleanStreamSerial(ctx context.Context, cr *csv.Reader, cw *csv.
 	outArity := arity
 	if ens {
 		outArity++ // trailing confidence column
-		res.MinConfidence = 1
 	}
 	out := make([]string, outArity)
 	tup := &relation.Tuple{
@@ -173,33 +171,9 @@ func (e *Engine) cleanStreamSerial(ctx context.Context, cr *csv.Reader, cw *csv.
 		}
 		// owned=false: with ReuseRecord the record's strings alias the
 		// reader's buffer, so anything the memo retains is cloned.
-		var oc tupleOutcome
-		var hit bool
-		if ens {
-			var conf float64
-			oc, conf, hit = e.repairRowEnsembleMemo(ctx, tup, rec, false)
-			res.ConfidenceSum += conf
-			if conf < res.MinConfidence {
-				res.MinConfidence = conf
-			}
-			if conf < e.ens.threshold {
-				res.BelowThreshold++
-			}
-			out[arity] = formatConf(conf)
-		} else {
-			oc, hit = e.repairRowMemo(tup, rec, false)
-		}
-		switch oc {
-		case tupleQuarantined:
-			res.Quarantined++
-		case tupleBudgetExhausted:
-			res.BudgetExhausted++
-		}
-		if hit {
-			res.Deduped++
+		if _, _, hit := e.streamRow(ctx, &res, tup, rec, out, marked, false, ens); hit {
 			e.instr.streamDeduped.Inc()
 		}
-		formatRow(out[:arity], tup, marked)
 		if err := cw.Write(out); err != nil {
 			return partial(err)
 		}
@@ -215,6 +189,68 @@ func (e *Engine) cleanStreamSerial(ctx context.Context, cr *csv.Reader, cw *csv.
 	return res, cw.Error()
 }
 
+// newStreamResult is the zero tally of one stream (or one pipeline
+// chunk): an ensemble stream's MinConfidence starts at 1, the
+// confidence of a row no engine contested.
+func newStreamResult(ens bool) StreamResult {
+	var r StreamResult
+	if ens {
+		r.MinConfidence = 1
+	}
+	return r
+}
+
+// merge folds a pipeline chunk's tally into r. Rows is not merged:
+// the reassembly stage counts rows as it writes them.
+func (r *StreamResult) merge(c StreamResult) {
+	r.Quarantined += c.Quarantined
+	r.BudgetExhausted += c.BudgetExhausted
+	r.Deduped += c.Deduped
+	r.ConfidenceSum += c.ConfidenceSum
+	r.MinConfidence = min(r.MinConfidence, c.MinConfidence)
+	r.BelowThreshold += c.BelowThreshold
+}
+
+// tally folds one emitted row into r: its degradation verdict, whether
+// a cache served it, and on ensemble streams its confidence.
+func (e *Engine) tally(r *StreamResult, oc tupleOutcome, conf float64, hit, ens bool) {
+	switch oc {
+	case tupleQuarantined:
+		r.Quarantined++
+	case tupleBudgetExhausted:
+		r.BudgetExhausted++
+	}
+	if hit {
+		r.Deduped++
+	}
+	if ens {
+		r.ConfidenceSum += conf
+		r.MinConfidence = min(r.MinConfidence, conf)
+		if conf < e.ens.threshold {
+			r.BelowThreshold++
+		}
+	}
+}
+
+// streamRow is the per-row step shared by the serial stream loop and
+// the pipeline's workers: it repairs the unmarked record rec into tup
+// through repairRow, renders the output row into out (whose last cell
+// is the confidence column on ensemble streams) and tallies the row
+// into res. owned follows putTuple's contract.
+func (e *Engine) streamRow(ctx context.Context, res *StreamResult, tup *relation.Tuple, rec, out []string, marked, owned, ens bool) (tupleOutcome, float64, bool) {
+	mode := rowServe
+	if ens {
+		mode = rowEnsemble
+	}
+	oc, conf, hit := e.repairRow(ctx, tup, rec, nil, owned, mode)
+	formatRow(out[:len(rec)], tup, marked)
+	if ens {
+		out[len(rec)] = formatConf(conf)
+	}
+	e.tally(res, oc, conf, hit, ens)
+	return oc, conf, hit
+}
+
 // formatRow renders a repaired tuple into dst, applying the "+" mark
 // suffix when marked is set.
 func formatRow(dst []string, tup *relation.Tuple, marked bool) {
@@ -225,30 +261,4 @@ func formatRow(dst []string, tup *relation.Tuple, marked bool) {
 			dst[i] = v
 		}
 	}
-}
-
-// repairRowSafeOn runs the in-place repair on the pinned graph g
-// under a panic quarantine and tallies the outcome into the engine's
-// lifetime counters. On a non-OK outcome tup is left in an undefined
-// state; the caller restores the original record. probe marks this row
-// as the breaker's half-open probe: its outcome resolves the breaker.
-func (e *Engine) repairRowSafeOn(g *kb.Graph, tup *relation.Tuple, probe bool) (oc tupleOutcome) {
-	st := e.getStateOn(g)
-	st.brk = true
-	st.probe = probe
-	defer func() {
-		if r := recover(); r != nil {
-			oc = tupleQuarantined
-			e.breakerObserve(st, oc)
-		}
-		e.count(oc, nil)
-	}()
-	if e.runFast(tup, st) {
-		oc = tupleOK
-	} else {
-		oc = tupleBudgetExhausted
-	}
-	e.breakerObserve(st, oc)
-	e.putState(st)
-	return oc
 }

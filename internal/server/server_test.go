@@ -179,10 +179,22 @@ func TestCleanRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestConcurrentCleans checks that concurrent /clean requests are all
+// served. The server admits every request at once (MaxConcurrent =
+// the request count), so the test does not depend on the default
+// 2×GOMAXPROCS limit; load shedding is covered by
+// TestFaultServerLoadShed and TestShedCounter.
 func TestConcurrentCleans(t *testing.T) {
-	ts, _ := newTestServer(t)
-	done := make(chan error, 8)
-	for i := 0; i < 8; i++ {
+	const n = 8
+	ex := dataset.NewPaperExample()
+	s, err := server.NewWithConfig(ex.Rules, ex.KB, ex.Schema, server.Config{MaxConcurrent: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	done := make(chan error, n)
+	for i := 0; i < n; i++ {
 		go func() {
 			resp, err := http.Post(ts.URL+"/clean", "text/csv", strings.NewReader(dirtyCSV))
 			if err == nil {
@@ -194,7 +206,7 @@ func TestConcurrentCleans(t *testing.T) {
 			done <- err
 		}()
 	}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < n; i++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
