@@ -58,9 +58,9 @@ benchdiff:
 	go run ./cmd/benchdiff -baseline BENCH_baseline.json -current BENCH_repair.json
 
 # Snapshot golden gate: packing the checked-in sample KB must be
-# byte-deterministic in both formats, and unpacking each snapshot must
-# round-trip to the canonical text source byte-for-byte. verify on the
-# v2 file also cross-checks the mmap'd load against the decode.
+# byte-deterministic, and unpacking the snapshot must round-trip to
+# the canonical text source byte-for-byte. verify also cross-checks
+# the mmap'd load against the streamed load.
 snapshot-check:
 	@tmp="$$(mktemp -d)" && \
 	go run ./cmd/kbtool pack testdata/sample_kb.nt "$$tmp/a.snap" && \
@@ -68,14 +68,8 @@ snapshot-check:
 	cmp "$$tmp/a.snap" "$$tmp/b.snap" && \
 	go run ./cmd/kbtool unpack "$$tmp/a.snap" "$$tmp/roundtrip.nt" && \
 	cmp "$$tmp/roundtrip.nt" testdata/sample_kb.nt && \
+	go run ./cmd/kbtool info "$$tmp/a.snap" >/dev/null && \
 	go run ./cmd/kbtool verify "$$tmp/a.snap" && \
-	go run ./cmd/kbtool pack -v2 testdata/sample_kb.nt "$$tmp/a2.snap" && \
-	go run ./cmd/kbtool pack -v2 testdata/sample_kb.nt "$$tmp/b2.snap" && \
-	cmp "$$tmp/a2.snap" "$$tmp/b2.snap" && \
-	go run ./cmd/kbtool unpack "$$tmp/a2.snap" "$$tmp/roundtrip2.nt" && \
-	cmp "$$tmp/roundtrip2.nt" testdata/sample_kb.nt && \
-	go run ./cmd/kbtool info "$$tmp/a2.snap" >/dev/null && \
-	go run ./cmd/kbtool verify "$$tmp/a2.snap" && \
 	rm -rf "$$tmp" && echo "snapshot-check: OK"
 
 # Delta golden gate: diffing the checked-in old/new snapshot pair must
@@ -85,15 +79,15 @@ snapshot-check:
 # regenerable from the canonical .nt sources (cross-checked here).
 delta-check:
 	@tmp="$$(mktemp -d)" && \
-	go run ./cmd/kbtool pack -v2 testdata/delta/old.nt "$$tmp/old.dkbs" && \
+	go run ./cmd/kbtool pack testdata/delta/old.nt "$$tmp/old.dkbs" && \
 	cmp "$$tmp/old.dkbs" testdata/delta/old.dkbs && \
-	go run ./cmd/kbtool pack -v2 testdata/delta/new.nt "$$tmp/new.dkbs" && \
+	go run ./cmd/kbtool pack testdata/delta/new.nt "$$tmp/new.dkbs" && \
 	cmp "$$tmp/new.dkbs" testdata/delta/new.dkbs && \
 	go run ./cmd/kbtool diff testdata/delta/old.dkbs testdata/delta/new.dkbs "$$tmp/a.dkbsd" && \
 	go run ./cmd/kbtool diff testdata/delta/old.dkbs testdata/delta/new.dkbs "$$tmp/b.dkbsd" && \
 	cmp "$$tmp/a.dkbsd" "$$tmp/b.dkbsd" && \
 	cmp "$$tmp/a.dkbsd" testdata/delta/old_to_new.dkbsd && \
-	go run ./cmd/kbtool apply -v2 testdata/delta/old.dkbs testdata/delta/old_to_new.dkbsd "$$tmp/applied.dkbs" && \
+	go run ./cmd/kbtool apply testdata/delta/old.dkbs testdata/delta/old_to_new.dkbsd "$$tmp/applied.dkbs" && \
 	cmp "$$tmp/applied.dkbs" testdata/delta/new.dkbs && \
 	rm -rf "$$tmp" && echo "delta-check: OK"
 

@@ -433,18 +433,17 @@ func writeRepairBench(path string) error {
 		}
 	})))
 
-	// KB load formats: the text parser versus the binary snapshot
-	// decoder over the same graph. The snapshot's headline claim (≥5×
-	// faster load) is gated by benchdiff through these two series.
+	// KB load paths over the same graph: the text parser, the DKBS
+	// snapshot read from an io.Reader (one sized read, every checksum
+	// verified, sections cast in place), and the mmap'd in-place load
+	// the registry's tenant cold admissions ride on. benchdiff gates
+	// all three.
 	loadKB := dataset.NewNobel(1, 4000).Yago
-	var textBuf, snapBuf bytes.Buffer
+	var textBuf bytes.Buffer
 	if err := loadKB.Encode(&textBuf); err != nil {
 		return err
 	}
-	if err := loadKB.WriteSnapshot(&snapBuf); err != nil {
-		return err
-	}
-	textSrc, snapSrc := textBuf.Bytes(), snapBuf.Bytes()
+	textSrc := textBuf.Bytes()
 	results = append(results,
 		record("KBLoadText", testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
@@ -454,20 +453,7 @@ func writeRepairBench(path string) error {
 				}
 			}
 		})),
-		record("KBLoadSnapshot", testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := kb.LoadSnapshot(bytes.NewReader(snapSrc)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})),
 	)
-
-	// DKBS v2 over the same graph: the portable decode of the
-	// page-aligned layout, and the mmap'd in-place load the registry's
-	// tenant cold admissions ride on. KBLoadMmap staying well clear of
-	// the v1 decode (the headline is ≥5×) is gated by benchdiff.
 	var snap2Buf bytes.Buffer
 	if err := loadKB.WriteSnapshotV2(&snap2Buf); err != nil {
 		return err

@@ -3,34 +3,34 @@
 //	kbtool -kb kb.nt stats                 # size, taxonomy, largest classes
 //	kbtool -kb kb.nt entity "Avram Hershko"  # types + outgoing/incoming edges
 //	kbtool -kb kb.nt type city -limit 10   # instances of a class
-//	kbtool pack kb.nt kb.snap              # text -> binary snapshot (DKBS v1)
-//	kbtool pack -v2 kb.nt kb.snap          # text -> mmap-ready DKBS v2
+//	kbtool pack kb.nt kb.snap              # text -> binary snapshot (DKBS)
 //	kbtool unpack kb.snap kb.nt            # snapshot -> canonical text
 //	kbtool info kb.snap                    # DKBS section table
 //	kbtool verify kb.snap                  # header + checksums + stats
 //	kbtool verify -deep kb.snap            # + structural integrity pass
 //	kbtool diff old.snap new.snap > d.dkbsd   # incremental delta (DKBD)
-//	kbtool apply -v2 old.snap d.dkbsd new.snap  # re-create new from delta
+//	kbtool apply old.snap d.dkbsd new.snap  # re-create new from delta
 //
 // diff emits the canonical DKBD delta between two KB contents — the
 // triples, type assertions and subclass edges to remove and add, keyed
-// by node name. Inputs may be snapshots (either version) or text; equal
+// by node name. Inputs may be snapshots or text; equal
 // contents always diff to identical bytes. apply replays a delta onto a
 // base KB, verifies the result's content fingerprint against the
 // delta's promise, and writes the re-canonicalized result — for a
 // canonical-text source, `diff | apply` is byte-identical to packing
 // the new KB directly (CI's delta-check gate holds this).
 //
-// pack -v2 writes the page-aligned, pointer-free DKBS v2 layout that
+// pack writes the page-aligned, pointer-free DKBS layout that
 // detectived maps read-only into memory and serves in place (near-zero
-// load time); plain pack keeps the compact varint v1 layout. info
-// prints each section's offset, length, CRC and mmap eligibility.
+// load time). info prints each section's offset, length, CRC and mmap
+// eligibility. Files in the retired DKBS version 1 layout are refused
+// by every subcommand; re-pack them from their N-Triples source.
 //
 // verify separates failure classes by exit code: 3 means the file is
-// corrupt (magic, framing, checksum), 4 means it decodes but the graph
-// is structurally suspect (-deep only: dangling IDs, taxonomy cycles).
-// It always checks every checksum via the portable decode path; for a
-// v2 file on an mmap-capable platform it additionally exercises the
+// unreadable (magic, version, framing, checksum), 4 means it loads but
+// the graph is structurally suspect (-deep only: dangling IDs,
+// taxonomy cycles). It always checks every checksum via the streamed
+// read; on an mmap-capable platform it additionally exercises the
 // mapped load the server would use.
 //
 // pack and unpack are deterministic: the same graph always produces
@@ -84,7 +84,7 @@ func main() {
 
 	if *kbPath == "" || flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "usage: kbtool -kb KB stats | entity NAME | type CLASS\n"+
-			"       kbtool pack [-v2] KB.nt KB.snap | unpack KB.snap KB.nt | info KB.snap | verify KB.snap")
+			"       kbtool pack KB.nt KB.snap | unpack KB.snap KB.nt | info KB.snap | verify KB.snap")
 		os.Exit(2)
 	}
 	f, err := os.Open(*kbPath)
@@ -135,42 +135,32 @@ type nopWriteCloser struct{ io.Writer }
 
 func (nopWriteCloser) Close() error { return nil }
 
-// pack converts a text-format KB to the binary snapshot format: v1
-// (compact varints) by default, -v2 for the page-aligned mmap-ready
-// layout. Both are deterministic: packing the same input twice
-// produces byte-identical snapshots.
+// pack converts a text-format KB to the binary snapshot format. It is
+// deterministic: packing the same input twice produces byte-identical
+// snapshots.
 func pack(args []string) {
-	v2 := false
-	var paths []string
-	for _, a := range args {
-		switch {
-		case a == "-v2" || a == "--v2":
-			v2 = true
-		default:
-			paths = append(paths, a)
-		}
+	if len(args) != 2 {
+		fail(fmt.Errorf("usage: kbtool pack KB.nt KB.snap"))
 	}
-	if len(paths) != 2 {
-		fail(fmt.Errorf("usage: kbtool pack [-v2] KB.nt KB.snap"))
-	}
-	r := openIn(paths[0])
+	r := openIn(args[0])
 	g, err := detective.ParseKB(bufio.NewReader(r))
 	r.Close()
 	fail(err)
-	w := createOut(paths[1])
+	saveSnapshot(args[1], g)
+}
+
+// saveSnapshot writes g as a DKBS snapshot to path ("-" is stdout).
+func saveSnapshot(path string, g *detective.KB) {
+	w := createOut(path)
 	bw := bufio.NewWriter(w)
-	if v2 {
-		fail(g.WriteSnapshotV2(bw))
-	} else {
-		fail(detective.WriteKBSnapshot(bw, g))
-	}
+	fail(detective.WriteKBSnapshot(bw, g))
 	fail(bw.Flush())
 	fail(w.Close())
 }
 
 // loadAny loads a KB from path in whichever format it carries: DKBS
-// snapshots (either version) are recognized by magic, anything else is
-// parsed as the text triple format.
+// snapshots are recognized by magic, anything else is parsed as the
+// text triple format.
 func loadAny(path string) *detective.KB {
 	r := openIn(path)
 	defer r.Close()
@@ -213,7 +203,7 @@ func runDiff(args []string) {
 	fmt.Fprintln(os.Stderr, "kbtool:", d)
 }
 
-// runApply implements `kbtool apply [-v2] BASE DELTA.dkbsd OUT.snap`:
+// runApply implements `kbtool apply BASE DELTA.dkbsd OUT.snap`:
 // replay DELTA onto BASE, fully re-verify the result's content
 // fingerprint against the delta's promise, and write the result
 // re-canonicalized — same node order as a fresh pack of the new
@@ -222,22 +212,12 @@ func runDiff(args []string) {
 // verify's convention: 3 for a corrupt delta file, 5 for a delta whose
 // base content does not match BASE.
 func runApply(args []string, errw io.Writer) int {
-	v2 := false
-	var paths []string
-	for _, a := range args {
-		switch {
-		case a == "-v2" || a == "--v2":
-			v2 = true
-		default:
-			paths = append(paths, a)
-		}
-	}
-	if len(paths) != 3 {
-		fmt.Fprintln(errw, "usage: kbtool apply [-v2] BASE DELTA.dkbsd OUT.snap")
+	if len(args) != 3 {
+		fmt.Fprintln(errw, "usage: kbtool apply BASE DELTA.dkbsd OUT.snap")
 		return 2
 	}
-	base := loadAny(paths[0])
-	r := openIn(paths[1])
+	base := loadAny(args[0])
+	r := openIn(args[1])
 	d, err := detective.ReadKBDelta(bufio.NewReader(r))
 	r.Close()
 	if err != nil {
@@ -266,15 +246,7 @@ func runApply(args []string, errw io.Writer) int {
 		fmt.Fprintf(errw, "kbtool: applied content fingerprint %016x does not match the delta's promised %016x\n", fp, d.NewFP)
 		return 1
 	}
-	w := createOut(paths[2])
-	bw := bufio.NewWriter(w)
-	if v2 {
-		fail(canon.WriteSnapshotV2(bw))
-	} else {
-		fail(detective.WriteKBSnapshot(bw, canon))
-	}
-	fail(bw.Flush())
-	fail(w.Close())
+	saveSnapshot(args[2], canon)
 	return 0
 }
 
@@ -292,12 +264,8 @@ func runInfo(args []string, out, errw io.Writer) int {
 		fmt.Fprintln(errw, "kbtool: unreadable snapshot:", err)
 		return 3
 	}
-	mmap := "no (decode on load)"
-	if info.Mmap {
-		mmap = "yes (mapped in place on supported platforms)"
-	}
-	fmt.Fprintf(out, "DKBS v%d, %d bytes, %d sections, mmap-ready: %s\n",
-		info.Version, info.FileSize, len(info.Sections), mmap)
+	fmt.Fprintf(out, "DKBS v%d, %d bytes, %d sections\n",
+		info.Version, info.FileSize, len(info.Sections))
 	tw := tabwriter.NewWriter(out, 2, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "ID\tSECTION\tOFFSET\tLENGTH\tCRC32C\tSTORAGE")
 	for _, s := range info.Sections {
@@ -338,12 +306,13 @@ func unpack(in, out string) {
 // runVerify implements `kbtool verify [-deep] KB.snap`. The plain form
 // loads the snapshot — exercising the header, section layout and every
 // checksum — and prints a one-line summary; -deep then runs the full
-// structural/semantic integrity pass on the decoded graph. Exit codes
+// structural/semantic integrity pass on the loaded graph. Exit codes
 // separate the failure classes so scripts can react differently:
 //
 //	0  the file would serve (and, with -deep, passed the self-check)
-//	3  corrupt file: bad magic, framing, or checksum — re-pack it
-//	4  decodes fine but is structurally suspect (dangling IDs,
+//	3  unreadable file: bad magic, a retired or unknown version,
+//	   framing, or checksum — re-pack it
+//	4  loads fine but is structurally suspect (dangling IDs,
 //	   asymmetric indexes, taxonomy cycles) — inspect the source data
 func runVerify(args []string, out, errw io.Writer) int {
 	deep := false
@@ -367,31 +336,33 @@ func runVerify(args []string, out, errw io.Writer) int {
 	g, err := detective.LoadKBSnapshot(r)
 	r.Close()
 	if err != nil {
-		fmt.Fprintln(errw, "kbtool: corrupt snapshot:", err)
+		what := "corrupt"
+		if errors.Is(err, kb.ErrSnapshotV1) {
+			what = "unsupported"
+		}
+		fmt.Fprintf(errw, "kbtool: %s snapshot: %v\n", what, err)
 		return 3
 	}
 	fmt.Fprintf(out, "ok: %d nodes, %d triples, generation %d\n",
 		g.NumNodes(), g.NumTriples(), g.Generation())
-	// The decode above checked every checksum. For an on-disk v2 file
-	// also exercise the serving path — LoadSnapshotFile maps the file
+	// The load above checked every checksum. For an on-disk file also
+	// exercise the serving path — LoadSnapshotFile maps the file
 	// in place where supported — and cross-check the two loads, so
 	// "verify ok" means ok for the reader detectived actually uses.
 	if in != "-" {
-		if info, ierr := kb.ReadSnapshotInfo(in); ierr == nil && info.Mmap {
-			mg, merr := kb.LoadSnapshotFile(in)
-			switch {
-			case merr != nil:
-				fmt.Fprintln(errw, "kbtool: mmap load failed:", merr)
-				return 3
-			case mg.NumNodes() != g.NumNodes() || mg.NumTriples() != g.NumTriples():
-				fmt.Fprintf(errw, "kbtool: mmap load disagrees with decode: %d/%d nodes, %d/%d triples\n",
-					mg.NumNodes(), g.NumNodes(), mg.NumTriples(), g.NumTriples())
-				return 3
-			case mg.Mapped():
-				fmt.Fprintln(out, "mmap: ok (served in place)")
-			default:
-				fmt.Fprintln(out, "mmap: ok (decode fallback on this platform)")
-			}
+		mg, merr := kb.LoadSnapshotFile(in)
+		switch {
+		case merr != nil:
+			fmt.Fprintln(errw, "kbtool: mmap load failed:", merr)
+			return 3
+		case mg.NumNodes() != g.NumNodes() || mg.NumTriples() != g.NumTriples():
+			fmt.Fprintf(errw, "kbtool: mmap load disagrees with the streamed load: %d/%d nodes, %d/%d triples\n",
+				mg.NumNodes(), g.NumNodes(), mg.NumTriples(), g.NumTriples())
+			return 3
+		case mg.Mapped():
+			fmt.Fprintln(out, "mmap: ok (served in place)")
+		default:
+			fmt.Fprintln(out, "mmap: ok (streamed load on this platform)")
 		}
 	}
 	if !deep {

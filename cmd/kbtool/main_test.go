@@ -14,7 +14,7 @@ import (
 func writeSnapshot(t *testing.T, dir, name string, g *kb.Graph) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := g.WriteSnapshot(&buf); err != nil {
+	if err := g.WriteSnapshotV2(&buf); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, name)
@@ -102,6 +102,27 @@ func TestVerifyDeepSuspectSnapshotExit4(t *testing.T) {
 	}
 	if !strings.Contains(errw.String(), "structurally suspect") {
 		t.Fatalf("stderr = %q", errw.String())
+	}
+}
+
+// TestV1SnapshotExit3: info and verify refuse a retired DKBS v1 file
+// with exit 3 and say how to migrate it.
+func TestV1SnapshotExit3(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v1.snap")
+	if err := os.WriteFile(path, []byte("DKBS\x01\x00\x00\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func(out, errw *bytes.Buffer) int{
+		"info":   func(out, errw *bytes.Buffer) int { return runInfo([]string{path}, out, errw) },
+		"verify": func(out, errw *bytes.Buffer) int { return runVerify([]string{path}, out, errw) },
+	} {
+		var out, errw bytes.Buffer
+		if code := run(&out, &errw); code != 3 {
+			t.Fatalf("%s on a v1 file = %d, want 3: %s%s", name, code, out.String(), errw.String())
+		}
+		if !strings.Contains(errw.String(), "version 1") || !strings.Contains(errw.String(), "kbtool pack") {
+			t.Fatalf("%s stderr = %q, want the v1 migration hint", name, errw.String())
+		}
 	}
 }
 

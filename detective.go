@@ -103,26 +103,28 @@ func NewKB() *KB { return kb.New() }
 //	<city> <subClassOf> <location> .
 func ParseKB(r io.Reader) (*KB, error) { return kb.Parse(r) }
 
-// WriteKBSnapshot writes g in the compact binary snapshot format:
+// WriteKBSnapshot writes g in the binary DKBS snapshot format:
 // versioned, checksummed per section, byte-identical for the same
-// graph, and several times faster to load than the text format (see
-// cmd/kbtool pack/unpack/verify).
-func WriteKBSnapshot(w io.Writer, g *KB) error { return g.WriteSnapshot(w) }
+// graph content, and laid out page-aligned so LoadKBSnapshotFile can
+// map its arenas read-only and serve them in place (see cmd/kbtool
+// pack/unpack/verify).
+func WriteKBSnapshot(w io.Writer, g *KB) error { return g.WriteSnapshotV2(w) }
 
 // LoadKBSnapshot reads a KB written by WriteKBSnapshot, verifying the
-// header and every section checksum.
+// header and every section checksum. The returned graph is read-only;
+// re-parse its text encoding (Encode, then ParseKB) to mutate it.
+// Files in the retired DKBS version 1 layout are refused with an error
+// that says to re-pack them from their text source.
 func LoadKBSnapshot(r io.Reader) (*KB, error) { return kb.LoadSnapshot(r) }
 
-// WriteKBSnapshotV2 writes g in the page-aligned DKBS v2 layout whose
-// arena sections LoadKBSnapshotFile maps read-only into memory and
-// serves in place — cold loads in microseconds instead of a full
-// decode. Like v1 it is deterministic and checksummed per section.
-func WriteKBSnapshotV2(w io.Writer, g *KB) error { return g.WriteSnapshotV2(w) }
+// WriteKBSnapshotV2 writes g in the DKBS snapshot format.
+//
+// Deprecated: there is one snapshot format; use WriteKBSnapshot.
+func WriteKBSnapshotV2(w io.Writer, g *KB) error { return WriteKBSnapshot(w, g) }
 
-// LoadKBSnapshotFile loads a snapshot by path: DKBS v2 files are
-// mmap'd in place on supported platforms (falling back to a portable
-// decode elsewhere), v1 files are decoded. The returned graph is
-// read-only when it is snapshot-backed.
+// LoadKBSnapshotFile loads a snapshot by path: the file is mmap'd in
+// place on supported platforms and read through LoadKBSnapshot
+// elsewhere. The returned graph is read-only.
 func LoadKBSnapshotFile(path string) (*KB, error) { return kb.LoadSnapshotFile(path) }
 
 // KBStore atomically publishes the current KB graph for zero-downtime

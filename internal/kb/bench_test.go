@@ -63,25 +63,9 @@ func BenchmarkKBLoadText(b *testing.B) {
 	}
 }
 
-// BenchmarkKBLoadSnapshot decodes the compact varint DKBS v1 layout.
-func BenchmarkKBLoadSnapshot(b *testing.B) {
-	var buf bytes.Buffer
-	if err := benchGraph(b).WriteSnapshot(&buf); err != nil {
-		b.Fatal(err)
-	}
-	src := buf.Bytes()
-	b.SetBytes(int64(len(src)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := LoadSnapshot(bytes.NewReader(src)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkKBLoadSnapshotV2 decodes the page-aligned v2 layout
-// portably — the fallback path for v2 files off-Linux.
+// BenchmarkKBLoadSnapshotV2 reads a snapshot from an io.Reader: one
+// sized read, every section CRC-verified, then the sections cast in
+// place — the path for streamed snapshots and for files off-Linux.
 func BenchmarkKBLoadSnapshotV2(b *testing.B) {
 	var buf bytes.Buffer
 	if err := benchGraph(b).WriteSnapshotV2(&buf); err != nil {
@@ -98,7 +82,7 @@ func BenchmarkKBLoadSnapshotV2(b *testing.B) {
 	}
 }
 
-// BenchmarkKBLoadMmap is the serving path for on-disk v2 snapshots:
+// BenchmarkKBLoadMmap is the serving path for on-disk snapshots:
 // map the arenas read-only and validate, no decode, no copies. This
 // is what makes registry tenant cold admissions cheap.
 func BenchmarkKBLoadMmap(b *testing.B) {
@@ -120,7 +104,7 @@ func BenchmarkKBLoadMmap(b *testing.B) {
 	}
 }
 
-// BenchmarkKBReloadFull is what a full `POST /reload` of an on-disk v2
+// BenchmarkKBReloadFull is what a full `POST /reload` of an on-disk
 // snapshot actually costs before the graph can serve: the mmap map plus
 // Freeze (closure construction), which Store.Swap always runs. This is
 // the denominator of the delta-apply speedup claims.

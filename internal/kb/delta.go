@@ -16,7 +16,7 @@ package kb
 // File format (all integers little-endian, "uv" = unsigned varint):
 //
 //	magic "DKBD" | u16 version=1 | u16 reserved
-//	then v1-style sections (u8 id | u32 CRC-32C | u64 len | payload),
+//	then sections (u8 id | u32 CRC-32C | u64 len | payload),
 //	terminated by the end section:
 //	  header    uv: baseNodes, baseTriples, baseFP, newFP
 //	  names     uv count, count uv name lengths, name bytes,
@@ -34,9 +34,9 @@ package kb
 //
 // Base identification is by *content fingerprint*, not generation or
 // node count: the fingerprint is an order- and ID-independent sum over
-// the graph's assertions, so a text-parsed graph, a v1 decode, an
-// mmap'd v2 graph and a delta-applied graph of equal content all agree
-// on it. Node counts deliberately do not participate: applying a delta
+// the graph's assertions, so a text-parsed graph, a snapshot read
+// from a stream, an mmap'd snapshot and a delta-applied graph of equal
+// content all agree on it. Node counts deliberately do not participate: applying a delta
 // cannot compact nodes the new content no longer references (their IDs
 // are baked into shared arenas), so an applied graph may carry orphan
 // nodes — and orphaned predicate entries — that contribute nothing to
@@ -454,6 +454,22 @@ func (d *Delta) Write(w io.Writer) error {
 		return err
 	}
 	return bw.Flush()
+}
+
+// sectionHeaderLen is id(1) + crc(4) + length(8).
+const sectionHeaderLen = 13
+
+// writeSection frames one DKBD section: header, then payload.
+func writeSection(bw *bufio.Writer, id byte, payload []byte) error {
+	var h [sectionHeaderLen]byte
+	h[0] = id
+	binary.LittleEndian.PutUint32(h[1:5], crc32.Checksum(payload, crcTable))
+	binary.LittleEndian.PutUint64(h[5:13], uint64(len(payload)))
+	if _, err := bw.Write(h[:]); err != nil {
+		return err
+	}
+	_, err := bw.Write(payload)
+	return err
 }
 
 // ReadDelta parses a DKBD delta. Every section is checksum-verified
@@ -893,8 +909,7 @@ func (g *Graph) ApplyDelta(d *Delta) (*Graph, error) {
 		spAdd[i] = pairPatch{pairKey(t[0], t[1]), t[2]}
 		poAdd[i] = pairPatch{pairKey(t[1], t[2]), t[0]}
 	}
-	// The four indexes patch independently — overlay them in parallel,
-	// like the snapshot decoder's per-section workers.
+	// The four indexes patch independently — overlay them in parallel.
 	var wg sync.WaitGroup
 	var outErr, inErr, spErr, poErr error
 	wg.Add(4)

@@ -64,10 +64,10 @@ type Edge struct {
 // safe once loading has finished and Freeze has been called (or after
 // any read has forced the lazy closures).
 //
-// A graph has one of two storage forms. Mutable graphs (built by New,
-// Parse or the v1 snapshot decoder) keep names and assertions in Go
-// maps and accept Add* calls. Snapshot-backed graphs (loaded from a
-// DKBS v2 file, possibly mmap'd in place) keep the same data in
+// A graph has one of two storage forms. Mutable graphs (built by New
+// or Parse) keep names and assertions in Go maps and accept Add*
+// calls. Snapshot-backed graphs (loaded from a DKBS snapshot, read
+// into one buffer or mmap'd in place) keep the same data in
 // pointer-free arenas — nameBlob/nameOffs/nameTab for the name table,
 // idListIndex span tables for the type and taxonomy assertions — and
 // are read-only: every mutator panics. All read accessors pick the
@@ -133,11 +133,11 @@ func New() *Graph {
 
 // mustMutable panics when the graph is snapshot-backed: its arenas may
 // be mmap'd read-only file pages, so in-place mutation is both a
-// correctness and a memory-safety error. Load through the v1 decoder
-// (or rebuild via Encode + Parse) to get a mutable copy.
+// correctness and a memory-safety error. Rebuild via Encode + Parse to
+// get a mutable copy.
 func (g *Graph) mustMutable() {
 	if g.byName == nil {
-		panic("kb: graph is read-only (loaded from a DKBS v2 snapshot); re-parse its text encoding to mutate")
+		panic("kb: graph is read-only (loaded from a DKBS snapshot); re-parse its text encoding to mutate")
 	}
 }
 
@@ -386,9 +386,9 @@ func (g *Graph) directSubs(cls ID) []ID {
 	return g.subOfIdx.view(cls)
 }
 
-// numTypeKeys etc. report how many keys carry at least one assertion —
-// the map lengths of the mutable form, needed for exact presizing by
-// the closures and the snapshot writers.
+// numTypeKeys and numInstOfKeys report how many keys carry at least
+// one assertion — the map lengths of the mutable form, needed for
+// exact presizing by the closures.
 
 func (g *Graph) numTypeKeys() int {
 	if g.byName != nil {
@@ -402,20 +402,6 @@ func (g *Graph) numInstOfKeys() int {
 		return len(g.instOf)
 	}
 	return g.nInstOfKeys
-}
-
-func (g *Graph) numSuperKeys() int {
-	if g.byName != nil {
-		return len(g.superOf)
-	}
-	return g.nSuperKeys
-}
-
-func (g *Graph) numSubKeys() int {
-	if g.byName != nil {
-		return len(g.subOf)
-	}
-	return g.nSubKeys
 }
 
 // forEachTyped calls fn once per instance with at least one directly

@@ -7,7 +7,7 @@ import (
 	"syscall"
 )
 
-// mmapSupported gates the in-place v2 read path at compile time.
+// mmapSupported gates the mmap read path at compile time.
 const mmapSupported = true
 
 // mapFile maps size bytes of f read-only and shared, so the pages are

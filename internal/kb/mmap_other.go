@@ -7,9 +7,9 @@ import (
 	"os"
 )
 
-// mmapSupported gates the in-place v2 read path at compile time; on
-// platforms without a wired-up mmap, LoadSnapshotFile falls back to
-// the portable decode path.
+// mmapSupported gates the mmap read path at compile time; on
+// platforms without a wired-up mmap, LoadSnapshotFile reads the file
+// through LoadSnapshot.
 const mmapSupported = false
 
 func mapFile(f *os.File, size int64) ([]byte, error) {

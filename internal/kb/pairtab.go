@@ -149,7 +149,7 @@ func (t *pairTable) find(k uint64) (slot int, ok bool) {
 }
 
 // put stores v (which must be non-empty) under k, which must not be
-// present yet — the snapshot decoder's bulk-build path.
+// present yet — the bulk-build path of flattenPairTable.
 func (t *pairTable) put(k uint64, v []ID) {
 	if 4*(t.used+1) > 3*len(t.keys) {
 		t.grow()
@@ -325,12 +325,6 @@ func (x *edgeIndex) add(key ID, e Edge) {
 		x.edges = append(x.edges, Edge{})
 	}
 	x.spans[key] = pairSpan{off: off, n: s.n + 1, cap: newCap}
-}
-
-// putSpan records the next cnt edges already appended to the arena as
-// key's edge list — the snapshot decoder's bulk-build path.
-func (x *edgeIndex) putSpan(key ID, off, cnt int) {
-	x.spans[key] = pairSpan{off: uint32(off), n: uint32(cnt), cap: uint32(cnt)}
 }
 
 func (t *pairTable) grow() {

@@ -70,7 +70,7 @@ func TestPairTableRandomizedAgainstMap(t *testing.T) {
 }
 
 func TestPairTablePutBulk(t *testing.T) {
-	// put is the snapshot decoder's presized bulk path: distinct keys,
+	// put is the presized bulk path of flattenPairTable: distinct keys,
 	// values copied into the arena.
 	tab := newPairTable(100, 1000)
 	scratch := []ID{1, 2, 3}

@@ -1,17 +1,17 @@
 package kb
 
-// DKBS version 2: the mmap-ready snapshot layout. Version 1 (see
-// snapshot.go) made loading fast by decoding varint sections into
-// rebuilt indexes; v2 makes loading nearly free by laying the indexes
-// out in the file exactly as the Graph reads them in memory. Every
-// index the hot path touches — the span-arena edge indexes, the
-// sp/po pair tables, the name blob, a pointer-free name hash table
-// replacing the byName map, and span-table forms of the four
-// type/taxonomy assertion maps — is stored as a raw little-endian
-// array, page-aligned, so a loader can mmap the file read-only and
-// use the sections in place: "load" is one mmap plus demand page-in,
-// and the pages are shared across every process serving the same
-// snapshot. Graphs loaded this way are read-only (see Graph).
+// DKBS: the binary KB snapshot. The text triple format (parse.go) is
+// the interchange format — human-readable, diffable, slow. A snapshot
+// is the persisted form of an already-built Graph, laid out in the
+// file exactly as the Graph reads it in memory. Every index the hot
+// path touches — the span-arena edge indexes, the sp/po pair tables,
+// the name blob, a pointer-free name hash table replacing the byName
+// map, and span-table forms of the four type/taxonomy assertion maps —
+// is stored as a raw little-endian array, page-aligned, so a loader
+// can mmap the file read-only and use the sections in place: "load"
+// is one mmap plus demand page-in, and the pages are shared across
+// every process serving the same snapshot. Graphs loaded from a
+// snapshot are read-only (see Graph).
 //
 // Layout:
 //
@@ -22,18 +22,21 @@ package kb
 //	payloads; raw sections start on a snapPageSize boundary
 //	(padding bytes are zero and excluded from the CRC)
 //
-// Raw sections are little-endian on every host. The mmap read path
-// (LoadSnapshotFile) casts them in place and is compiled in on
-// little-endian platforms with mmap support; everything else — v2
-// files on other platforms, io.Reader sources, and kbtool — goes
-// through decodeSnapshotV2, which verifies every section checksum and
-// rebuilds heap-backed slices portably.
+// Version 1, a compact varint layout decoded into rebuilt maps, is no
+// longer read: loaders reject it with ErrSnapshotV1.
+//
+// Raw sections are little-endian on every host. Two read paths use
+// them in place on little-endian hosts: LoadSnapshotFile mmaps the
+// file (where the platform supports it), and LoadSnapshot reads any
+// io.Reader into one heap buffer, verifies every section checksum,
+// and casts the sections inside that buffer. Big-endian hosts decode
+// the sections into heap slices instead (decodeSections).
 //
 // The encoding is canonical: arenas are rewritten in ascending key
 // order with ascending values and exact capacities (no dead ranges
 // from incremental growth), so the same graph content always
 // serializes to identical bytes regardless of construction order —
-// `kbtool pack -v2` is deterministic, like v1.
+// `kbtool pack` is deterministic, which CI verifies.
 //
 // Trust model: the mmap path checksums only the small varint sections
 // it must decode (counts, preds) and bounds-checks every span table
@@ -41,20 +44,48 @@ package kb
 // bounds check rather than reading wild memory — but it does not CRC
 // the big arenas (touching every page would defeat the ~0ms load).
 // Deploy pipelines should run `kbtool verify` (which uses the fully
-// checksummed decode path) before promoting a snapshot.
+// checksummed LoadSnapshot path) before promoting a snapshot.
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"unsafe"
 )
 
-// SnapshotVersion2 is the mmap-ready format version written by
-// WriteSnapshotV2.
+const snapshotMagic = "DKBS"
+
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// ErrSnapshotV1 reports a DKBS version 1 file, a layout this build no
+// longer reads.
+var ErrSnapshotV1 = errors.New("kb: DKBS version 1 snapshot is no longer supported; re-pack it from the N-Triples source with `kbtool pack`")
+
+// ErrCorruptSnapshot matches (via errors.Is) every error that reports
+// bytes which are not a well-formed DKBS v2 snapshot: bad magic, an
+// unknown version, a damaged directory, a checksum mismatch, or a
+// section that fails its structural bounds. Read failures of the
+// underlying source are reported as they are, not as corruption.
+var ErrCorruptSnapshot = errors.New("kb: corrupt snapshot")
+
+// corruptError is a malformed-snapshot error; it matches
+// ErrCorruptSnapshot.
+type corruptError struct{ msg string }
+
+func (e *corruptError) Error() string        { return e.msg }
+func (e *corruptError) Is(target error) bool { return target == ErrCorruptSnapshot }
+
+func corruptf(format string, args ...any) error {
+	return &corruptError{fmt.Sprintf(format, args...)}
+}
+
+// SnapshotVersion2 is the format version written by WriteSnapshotV2,
+// the only version this build reads.
 const SnapshotVersion2 = 2
 
 // snapPageSize is the alignment raw sections are padded to — the
@@ -154,9 +185,8 @@ func (c *v2Counts) fields() []struct {
 // ---------------------------------------------------------------------------
 // Writer
 
-// WriteSnapshotV2 writes g in the mmap-ready v2 snapshot format. Like
-// WriteSnapshot, the output is canonical: the same graph content
-// always yields identical bytes.
+// WriteSnapshotV2 writes g in the DKBS v2 snapshot format. The output
+// is canonical: the same graph content always yields identical bytes.
 func (g *Graph) WriteSnapshotV2(w io.Writer) error {
 	numNodes := g.NumNodes()
 
@@ -482,21 +512,39 @@ type dirEntry struct {
 
 func (e dirEntry) raw() bool { return e.flags&1 != 0 }
 
-// parseV2Directory validates the v2 header and returns the section
-// directory keyed by section ID. size bounds every entry.
-func parseV2Directory(hdr []byte, size int64) (map[byte]dirEntry, error) {
-	if len(hdr) < 8 || string(hdr[:4]) != snapshotMagic {
-		return nil, fmt.Errorf("kb: bad snapshot magic (not a KB snapshot)")
+// checkHeader validates the 8-byte file header (hdr may be shorter
+// when the source ended early) and returns the directory's section
+// count.
+func checkHeader(hdr []byte) (int, error) {
+	if len(hdr) < len(snapshotMagic) || string(hdr[:len(snapshotMagic)]) != snapshotMagic {
+		return 0, corruptf("kb: bad snapshot magic (not a KB snapshot)")
 	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != SnapshotVersion2 {
-		return nil, fmt.Errorf("kb: snapshot version %d is not v2", v)
+	if len(hdr) < 8 {
+		return 0, corruptf("kb: snapshot truncated in the header")
+	}
+	switch v := binary.LittleEndian.Uint16(hdr[4:6]); v {
+	case SnapshotVersion2:
+	case 1:
+		return 0, ErrSnapshotV1
+	default:
+		return 0, corruptf("kb: unsupported snapshot version %d (this build reads version %d)", v, SnapshotVersion2)
 	}
 	n := int(binary.LittleEndian.Uint16(hdr[6:8]))
 	if n == 0 || n > 64 {
-		return nil, fmt.Errorf("kb: snapshot directory has implausible section count %d", n)
+		return 0, corruptf("kb: snapshot directory has implausible section count %d", n)
+	}
+	return n, nil
+}
+
+// parseV2Directory validates the header and returns the section
+// directory keyed by section ID. size bounds every entry.
+func parseV2Directory(hdr []byte, size int64) (map[byte]dirEntry, error) {
+	n, err := checkHeader(hdr)
+	if err != nil {
+		return nil, err
 	}
 	if len(hdr) < 8+n*dirEntryLen {
-		return nil, fmt.Errorf("kb: snapshot truncated in the section directory")
+		return nil, corruptf("kb: snapshot truncated in the section directory")
 	}
 	dir := make(map[byte]dirEntry, n)
 	for i := 0; i < n; i++ {
@@ -508,20 +556,25 @@ func parseV2Directory(hdr []byte, size int64) (map[byte]dirEntry, error) {
 			off:   int64(binary.LittleEndian.Uint64(b[8:16])),
 			n:     int64(binary.LittleEndian.Uint64(b[16:24])),
 		}
-		if e.off < 0 || e.n < 0 || e.off+e.n > size {
-			return nil, fmt.Errorf("kb: snapshot section %d out of bounds (off %d, len %d, file %d)", e.id, e.off, e.n, size)
+		if e.off < 0 || e.n < 0 || e.off > size || e.n > size-e.off {
+			return nil, corruptf("kb: snapshot section %d out of bounds (off %d, len %d, file %d)", e.id, e.off, e.n, size)
+		}
+		if e.id >= sec2Counts && e.id < sec2Max && e.raw() != (e.id >= sec2NameBytes) {
+			// The raw flag is what guarantees alignment, and raw
+			// sections are cast in place.
+			return nil, corruptf("kb: snapshot section %d has the wrong storage flag %d", e.id, e.flags)
 		}
 		if e.raw() && e.off%snapPageSize != 0 {
-			return nil, fmt.Errorf("kb: snapshot raw section %d not page-aligned (offset %d)", e.id, e.off)
+			return nil, corruptf("kb: snapshot raw section %d not page-aligned (offset %d)", e.id, e.off)
 		}
 		if _, dup := dir[e.id]; dup {
-			return nil, fmt.Errorf("kb: duplicate snapshot section %d", e.id)
+			return nil, corruptf("kb: duplicate snapshot section %d", e.id)
 		}
 		dir[e.id] = e
 	}
 	for id := byte(sec2Counts); id < sec2Max; id++ {
 		if _, ok := dir[id]; !ok {
-			return nil, fmt.Errorf("kb: snapshot section %d missing", id)
+			return nil, corruptf("kb: snapshot section %d missing", id)
 		}
 	}
 	return dir, nil
@@ -533,7 +586,7 @@ func decodeV2Counts(payload []byte) (*v2Counts, error) {
 	get := func(name string) (uint64, error) {
 		v, err := vr.uvarint()
 		if err != nil {
-			return 0, fmt.Errorf("kb: snapshot counts (%s): %w", name, err)
+			return 0, corruptf("kb: snapshot counts (%s): %v", name, err)
 		}
 		return v, nil
 	}
@@ -561,65 +614,169 @@ func decodeV2Counts(payload []byte) (*v2Counts, error) {
 		*f.v = int(v)
 	}
 	if c.numNodes <= 0 || int(c.literalClass) >= c.numNodes {
-		return nil, fmt.Errorf("kb: snapshot counts: literal class %d out of range of %d nodes", c.literalClass, c.numNodes)
+		return nil, corruptf("kb: snapshot counts: literal class %d out of range of %d nodes", c.literalClass, c.numNodes)
 	}
 	if c.spIDsLen != c.tripleCount || c.poIDsLen != c.tripleCount {
-		return nil, fmt.Errorf("kb: snapshot counts: pair arenas (%d, %d) disagree with triple count %d", c.spIDsLen, c.poIDsLen, c.tripleCount)
+		return nil, corruptf("kb: snapshot counts: pair arenas (%d, %d) disagree with triple count %d", c.spIDsLen, c.poIDsLen, c.tripleCount)
 	}
 	for _, tab := range []struct {
 		name       string
 		size, used int
 	}{{"name table", c.nameTabSize, c.numNodes}, {"sp table", c.spTabSize, c.spUsed}, {"po table", c.poTabSize, c.poUsed}} {
 		if tab.size < 8 || tab.size&(tab.size-1) != 0 {
-			return nil, fmt.Errorf("kb: snapshot counts: %s size %d is not a power of two", tab.name, tab.size)
+			return nil, corruptf("kb: snapshot counts: %s size %d is not a power of two", tab.name, tab.size)
 		}
 		if 4*tab.used > 3*tab.size {
-			return nil, fmt.Errorf("kb: snapshot counts: %s overfull (%d entries in %d slots)", tab.name, tab.used, tab.size)
+			return nil, corruptf("kb: snapshot counts: %s overfull (%d entries in %d slots)", tab.name, tab.used, tab.size)
 		}
 	}
 	return &c, nil
 }
 
 // ---------------------------------------------------------------------------
-// Portable decode path
+// Read paths
 
-// decodeSnapshotV2 rebuilds a graph from v2 bytes on the heap,
-// verifying every section checksum and every structural bound. It is
-// the read path for io.Reader sources, non-mmap platforms, and
-// kbtool verify.
-func decodeSnapshotV2(data []byte) (*Graph, error) {
-	dir, err := parseV2Directory(data, int64(len(data)))
-	if err != nil {
-		return nil, err
-	}
-	sec := func(id byte) ([]byte, error) {
-		e := dir[id]
-		p := data[e.off : e.off+e.n]
-		if got := crc32.Checksum(p, crcTable); got != e.crc {
-			return nil, fmt.Errorf("kb: snapshot section %d checksum mismatch (corrupt): got %08x, want %08x", id, got, e.crc)
-		}
-		return p, nil
-	}
-	cp, err := sec(sec2Counts)
-	if err != nil {
-		return nil, err
-	}
-	c, err := decodeV2Counts(cp)
-	if err != nil {
-		return nil, err
-	}
-
-	raw := make(map[byte][]byte, int(sec2Max))
+// allSections lists every section ID, in directory order.
+var allSections = func() []byte {
+	ids := make([]byte, 0, sec2Max-1)
 	for id := byte(sec2Counts); id < sec2Max; id++ {
-		p, err := sec(id)
-		if err != nil {
-			return nil, err
-		}
-		raw[id] = p
+		ids = append(ids, id)
+	}
+	return ids
+}()
+
+// LoadSnapshot reads a DKBS v2 snapshot from r. The header and
+// directory are read first, so the body then arrives in one buffer,
+// starting at file byte 0, whose length the directory gives. Every
+// section checksum and structural bound is verified before a graph
+// escapes: corrupt bytes yield an error matching ErrCorruptSnapshot,
+// a v1 file ErrSnapshotV1. On little-endian hosts the raw sections are
+// then used in place inside that buffer, as the mmap path uses file
+// pages; the page-aligned section offsets keep every cast aligned.
+// The returned graph is read-only.
+func LoadSnapshot(r io.Reader) (*Graph, error) {
+	data, dir, err := readSnapshot(r)
+	if err != nil {
+		return nil, err
+	}
+	cast := decodeSections
+	if hostLittleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(data)))%8 == 0 {
+		cast = castSections
+	}
+	return newSnapshotGraph(data, dir, allSections, cast)
+}
+
+// readSnapshot reads a whole snapshot from r into one buffer and
+// returns it with its directory. The directory's sizes are not trusted
+// with memory: unless r reports how many bytes it holds, the buffer
+// grows by doubling as bytes arrive, so a directory that claims a
+// terabyte costs at most about twice what r actually delivered.
+func readSnapshot(r io.Reader) ([]byte, map[byte]dirEntry, error) {
+	avail := remaining(r)
+	size := int64(math.MaxInt64)
+	if avail >= 0 {
+		size = avail
+	}
+	head, dir, err := readDirectory(r, size)
+	if err != nil {
+		return nil, nil, err
+	}
+	end := int64(len(head))
+	for _, e := range dir {
+		end = max(end, e.off+e.n)
 	}
 
+	buf := head
+	for int64(len(buf)) < end {
+		next := end
+		if avail < 0 {
+			next = min(end, max(2*int64(len(buf)), 64<<10))
+		}
+		grown := make([]byte, next)
+		copy(grown, buf)
+		k, err := io.ReadFull(r, grown[len(buf):])
+		buf = grown[:len(buf)+k]
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			// The directory promised more bytes than r holds; report
+			// the section the true size leaves out of bounds.
+			if _, derr := parseV2Directory(head, int64(len(buf))); derr != nil {
+				return nil, nil, derr
+			}
+			return nil, nil, corruptf("kb: snapshot truncated at %d bytes", len(buf))
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("kb: reading snapshot: %w", err)
+		}
+	}
+	return buf, dir, nil
+}
+
+// readDirectory reads the header and section directory from r and
+// parses the directory against size, the most bytes the snapshot can
+// span.
+func readDirectory(r io.Reader, size int64) ([]byte, map[byte]dirEntry, error) {
+	var hdr [8]byte
+	n, err := io.ReadFull(r, hdr[:])
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return nil, nil, fmt.Errorf("kb: reading snapshot: %w", err)
+	}
+	count, err := checkHeader(hdr[:n])
+	if err != nil {
+		return nil, nil, err
+	}
+	head := make([]byte, 8+count*dirEntryLen)
+	copy(head, hdr[:])
+	if _, err := io.ReadFull(r, head[8:]); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return nil, nil, corruptf("kb: snapshot truncated in the section directory")
+		}
+		return nil, nil, fmt.Errorf("kb: reading snapshot: %w", err)
+	}
+	dir, err := parseV2Directory(head, size)
+	return head, dir, err
+}
+
+// remaining reports how many unread bytes r holds when it can say so
+// cheaply — in-memory readers (bytes.Reader, bytes.Buffer,
+// strings.Reader) and regular files — and -1 otherwise.
+func remaining(r io.Reader) int64 {
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return int64(r.Len())
+	case *os.File:
+		st, err := r.Stat()
+		if err != nil || !st.Mode().IsRegular() {
+			return -1
+		}
+		pos, err := r.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return -1
+		}
+		return st.Size() - pos
+	}
+	return -1
+}
+
+// newSnapshotGraph builds a read-only graph over the snapshot held in
+// data, whose sections dir locates. The sections listed in checked are
+// CRC-verified first; cast selects how raw sections become typed
+// slices.
+func newSnapshotGraph(data []byte, dir map[byte]dirEntry, checked []byte, cast *sectionCaster) (*Graph, error) {
+	section := func(id byte) []byte {
+		e := dir[id]
+		return data[e.off : e.off+e.n]
+	}
+	for _, id := range checked {
+		if got, want := crc32.Checksum(section(id), crcTable), dir[id].crc; got != want {
+			return nil, corruptf("kb: snapshot section %d checksum mismatch (corrupt): got %08x, want %08x", id, got, want)
+		}
+	}
+	c, err := decodeV2Counts(section(sec2Counts))
+	if err != nil {
+		return nil, err
+	}
 	g := &Graph{}
-	if err := g.initV2(c, func(id byte) []byte { return raw[id] }, nil); err != nil {
+	if err := g.initV2(c, section, cast); err != nil {
 		return nil, err
 	}
 	return g, nil
@@ -630,14 +787,20 @@ func decodeSnapshotV2(data []byte) (*Graph, error) {
 // span tables are bounds-checked against their arenas so a corrupt
 // file cannot index outside the mapping.
 func loadSnapshotMapped(f *os.File, path string) (*Graph, error) {
+	// Check the header before mapping: mappings are never unmapped,
+	// so a file that is not a snapshot must not get one.
+	var hdr [8]byte
+	if _, err := f.ReadAt(hdr[:], 0); err != nil {
+		return nil, fmt.Errorf("kb: reading snapshot header: %w", err)
+	}
+	if _, err := checkHeader(hdr[:]); err != nil {
+		return nil, err
+	}
 	st, err := f.Stat()
 	if err != nil {
 		return nil, err
 	}
 	size := st.Size()
-	if size < 8 {
-		return nil, fmt.Errorf("kb: snapshot too small (%d bytes)", size)
-	}
 	data, err := mapFile(f, size)
 	if err != nil {
 		return nil, fmt.Errorf("kb: mmap %s: %w", path, err)
@@ -646,31 +809,17 @@ func loadSnapshotMapped(f *os.File, path string) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, id := range []byte{sec2Counts, sec2Preds} {
-		e := dir[id]
-		p := data[e.off : e.off+e.n]
-		if got := crc32.Checksum(p, crcTable); got != e.crc {
-			return nil, fmt.Errorf("kb: snapshot section %d checksum mismatch (corrupt): got %08x, want %08x", id, got, e.crc)
-		}
-	}
-	ce := dir[sec2Counts]
-	c, err := decodeV2Counts(data[ce.off : ce.off+ce.n])
+	g, err := newSnapshotGraph(data, dir, []byte{sec2Counts, sec2Preds}, castSections)
 	if err != nil {
 		return nil, err
 	}
-	g := &Graph{mapped: &mapping{path: path, data: data}}
-	if err := g.initV2(c, func(id byte) []byte {
-		e := dir[id]
-		return data[e.off : e.off+e.n]
-	}, castSections); err != nil {
-		return nil, err
-	}
+	g.mapped = &mapping{path: path, data: data}
 	return g, nil
 }
 
 // sectionCaster turns a raw section's bytes into typed slices either
-// by in-place cast (mmap path, LE hosts) or by portable elementwise
-// decode (nil caster).
+// by in-place cast (castSections, LE hosts) or by portable elementwise
+// decode (decodeSections).
 type sectionCaster struct {
 	u32s  func([]byte) []uint32
 	u64s  func([]byte) []uint64
@@ -683,7 +832,8 @@ type sectionCaster struct {
 }
 
 // castSections reinterprets raw LE sections in place — valid only on
-// little-endian hosts over page-aligned mmap'd bytes.
+// little-endian hosts over page-aligned bytes (an mmap'd file, or a
+// LoadSnapshot buffer that is at least 8-byte aligned).
 var castSections = &sectionCaster{
 	u32s:  castSlice[uint32],
 	u64s:  castSlice[uint64],
@@ -766,8 +916,8 @@ var decodeSections = &sectionCaster{
 
 // castSlice reinterprets b as a []T without copying. b must be
 // aligned for T and its length a multiple of T's size — guaranteed by
-// the page alignment the directory parser enforces and the length
-// checks in initV2.
+// the page alignment the directory parser enforces, the buffer
+// alignment LoadSnapshot checks, and the length checks in initV2.
 func castSlice[T any](b []byte) []T {
 	var zero T
 	n := len(b) / int(unsafe.Sizeof(zero))
@@ -778,18 +928,14 @@ func castSlice[T any](b []byte) []T {
 }
 
 // initV2 populates g from v2 sections. section returns a section's
-// (CRC-verified or mmap'd) payload; caster nil selects the portable
-// decoder. Every span table is bounds-checked against its arena so
-// later reads stay inside the section, whichever backing is in use.
-func (g *Graph) initV2(c *v2Counts, section func(byte) []byte, caster *sectionCaster) error {
-	cast := caster
-	if cast == nil {
-		cast = decodeSections
-	}
+// (CRC-verified or mmap'd) payload. Every span table is bounds-checked
+// against its arena so later reads stay inside the section, whichever
+// backing is in use.
+func (g *Graph) initV2(c *v2Counts, section func(byte) []byte, cast *sectionCaster) error {
 	want := func(id byte, bytes int) ([]byte, error) {
 		p := section(id)
 		if len(p) != bytes {
-			return nil, fmt.Errorf("kb: snapshot section %d: got %d bytes, counts say %d", id, len(p), bytes)
+			return nil, corruptf("kb: snapshot section %d: got %d bytes, counts say %d", id, len(p), bytes)
 		}
 		return p, nil
 	}
@@ -813,12 +959,12 @@ func (g *Graph) initV2(c *v2Counts, section func(byte) []byte, caster *sectionCa
 	prevOff := uint32(0)
 	for i, o := range g.nameOffs {
 		if o < prevOff || o > uint32(c.nameByteLen) {
-			return fmt.Errorf("kb: snapshot name offsets: entry %d (%d) out of order or out of range", i, o)
+			return corruptf("kb: snapshot name offsets: entry %d (%d) out of order or out of range", i, o)
 		}
 		prevOff = o
 	}
 	if g.nameOffs[c.numNodes] != uint32(c.nameByteLen) {
-		return fmt.Errorf("kb: snapshot name offsets: final offset %d != name bytes %d", g.nameOffs[c.numNodes], c.nameByteLen)
+		return corruptf("kb: snapshot name offsets: final offset %d != name bytes %d", g.nameOffs[c.numNodes], c.nameByteLen)
 	}
 	occupied := 0
 	for i, s := range g.nameTab.slots {
@@ -827,11 +973,11 @@ func (g *Graph) initV2(c *v2Counts, section func(byte) []byte, caster *sectionCa
 		}
 		occupied++
 		if int(s.idPlus1) > c.numNodes {
-			return fmt.Errorf("kb: snapshot name table: slot %d holds ID %d, out of range", i, s.idPlus1-1)
+			return corruptf("kb: snapshot name table: slot %d holds ID %d, out of range", i, s.idPlus1-1)
 		}
 	}
 	if occupied != c.numNodes {
-		return fmt.Errorf("kb: snapshot name table: %d occupied slots for %d nodes", occupied, c.numNodes)
+		return corruptf("kb: snapshot name table: %d occupied slots for %d nodes", occupied, c.numNodes)
 	}
 
 	// Kinds.
@@ -842,7 +988,7 @@ func (g *Graph) initV2(c *v2Counts, section func(byte) []byte, caster *sectionCa
 	g.kinds = cast.kinds(kp)
 	for i, k := range g.kinds {
 		if k > KindLiteral {
-			return fmt.Errorf("kb: snapshot kinds: node %d has invalid kind %d", i, k)
+			return corruptf("kb: snapshot kinds: node %d has invalid kind %d", i, k)
 		}
 	}
 
@@ -925,11 +1071,11 @@ func (g *Graph) initV2(c *v2Counts, section func(byte) []byte, caster *sectionCa
 			nonzero++
 			s := t.spans[i]
 			if int(s.off)+int(s.n) > idsLen || s.cap < s.n {
-				return nil, fmt.Errorf("kb: snapshot section %d: slot %d span out of range", spansID, i)
+				return nil, corruptf("kb: snapshot section %d: slot %d span out of range", spansID, i)
 			}
 		}
 		if nonzero != used {
-			return nil, fmt.Errorf("kb: snapshot section %d: %d occupied slots, counts say %d", keysID, nonzero, used)
+			return nil, corruptf("kb: snapshot section %d: %d occupied slots, counts say %d", keysID, nonzero, used)
 		}
 		return t, nil
 	}
@@ -945,17 +1091,17 @@ func (g *Graph) initV2(c *v2Counts, section func(byte) []byte, caster *sectionCa
 	vr := varintReader{b: pp}
 	np, err := vr.uvarint()
 	if err != nil {
-		return fmt.Errorf("kb: snapshot preds: %w", err)
+		return corruptf("kb: snapshot preds: %v", err)
 	}
 	if int(np) != c.numPreds {
-		return fmt.Errorf("kb: snapshot preds: %d entries, counts say %d", np, c.numPreds)
+		return corruptf("kb: snapshot preds: %d entries, counts say %d", np, c.numPreds)
 	}
 	g.preds = make(map[ID]struct{}, c.numPreds)
 	var p ID
 	for i := 0; i < int(np); i++ {
 		d, err := vr.uvarint()
 		if err != nil {
-			return fmt.Errorf("kb: snapshot preds: %w", err)
+			return corruptf("kb: snapshot preds: %v", err)
 		}
 		if i == 0 {
 			p = ID(d)
@@ -963,7 +1109,7 @@ func (g *Graph) initV2(c *v2Counts, section func(byte) []byte, caster *sectionCa
 			p += ID(d)
 		}
 		if int(p) >= c.numNodes {
-			return fmt.Errorf("kb: snapshot preds: predicate ID %d out of range", p)
+			return corruptf("kb: snapshot preds: predicate ID %d out of range", p)
 		}
 		g.preds[p] = struct{}{}
 	}
@@ -980,7 +1126,7 @@ func (g *Graph) initV2(c *v2Counts, section func(byte) []byte, caster *sectionCa
 func checkSpans(secID byte, spans []pairSpan, arenaLen int) error {
 	for i, s := range spans {
 		if int(s.off)+int(s.n) > arenaLen || s.cap < s.n {
-			return fmt.Errorf("kb: snapshot section %d: span %d out of range of arena %d", secID, i, arenaLen)
+			return corruptf("kb: snapshot section %d: span %d out of range of arena %d", secID, i, arenaLen)
 		}
 	}
 	return nil
@@ -989,31 +1135,23 @@ func checkSpans(secID byte, spans []pairSpan, arenaLen int) error {
 // ---------------------------------------------------------------------------
 // File loading
 
-// LoadSnapshotFile loads a DKBS snapshot from disk. DKBS v2 files are
-// mmap'd and used in place when the platform supports it (Linux,
-// little-endian), making the load nearly free and the graph's memory
-// shared across processes; v1 files — and v2 on other platforms —
-// take the buffered decode path. Any mmap-path failure falls back to
-// the decode path, whose errors are authoritative.
+// LoadSnapshotFile loads a DKBS snapshot from disk. Where the platform
+// supports it (Linux, little-endian) the file is mmap'd and used in
+// place, making the load nearly free and the graph's memory shared
+// across processes; elsewhere it goes through LoadSnapshot. Any
+// mmap-path failure falls back to LoadSnapshot, whose errors are
+// authoritative. (The mmap path reads with ReadAt, so the file offset
+// is still 0 for the fallback.)
 func LoadSnapshotFile(path string) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var hdr [8]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return nil, fmt.Errorf("kb: reading snapshot header: %w", err)
-	}
-	if string(hdr[:4]) == snapshotMagic &&
-		binary.LittleEndian.Uint16(hdr[4:6]) == SnapshotVersion2 &&
-		mmapSupported && hostLittleEndian {
+	if mmapSupported && hostLittleEndian {
 		if g, err := loadSnapshotMapped(f, path); err == nil {
 			return g, nil
 		}
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
 	}
 	return LoadSnapshot(f)
 }
@@ -1037,15 +1175,7 @@ type SectionInfo struct {
 type SnapshotInfo struct {
 	Version  int           `json:"version"`
 	FileSize int64         `json:"fileSize"`
-	Mmap     bool          `json:"mmapReady"`
 	Sections []SectionInfo `json:"sections"`
-}
-
-var v1SectionNames = map[byte]string{
-	secCounts: "counts", secNameLens: "nameLens", secNameBytes: "nameBytes",
-	secKinds: "kinds", secPreds: "preds", secTypes: "types",
-	secSubclass: "subclass", secTriples: "triples", secTriplesIn: "triplesIn",
-	secEnd: "end",
 }
 
 var v2SectionNames = map[byte]string{
@@ -1064,7 +1194,7 @@ var v2SectionNames = map[byte]string{
 
 // ReadSnapshotInfo reads a snapshot's header and section table —
 // version, per-section offset/length/CRC, alignment and
-// mmap-eligibility — without decoding any payload, so deploy scripts
+// mmap-eligibility — without reading any payload, so deploy scripts
 // can inspect multi-gigabyte snapshots instantly.
 func ReadSnapshotInfo(path string) (*SnapshotInfo, error) {
 	f, err := os.Open(path)
@@ -1076,68 +1206,11 @@ func ReadSnapshotInfo(path string) (*SnapshotInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return nil, fmt.Errorf("kb: reading snapshot header: %w", err)
-	}
-	if string(hdr[:4]) != snapshotMagic {
-		return nil, fmt.Errorf("kb: bad snapshot magic (not a KB snapshot)")
-	}
-	switch v := binary.LittleEndian.Uint16(hdr[4:6]); v {
-	case SnapshotVersion:
-		return readV1Info(f, st.Size())
-	case SnapshotVersion2:
-		return readV2Info(f, st.Size())
-	default:
-		return nil, fmt.Errorf("kb: unsupported snapshot version %d", v)
-	}
-}
-
-func readV1Info(f *os.File, size int64) (*SnapshotInfo, error) {
-	info := &SnapshotInfo{Version: SnapshotVersion, FileSize: size}
-	off := int64(len(snapshotMagic) + 4)
-	for {
-		var h [sectionHeaderLen]byte
-		if _, err := f.ReadAt(h[:], off); err != nil {
-			return nil, fmt.Errorf("kb: snapshot truncated in section header at offset %d", off)
-		}
-		id := h[0]
-		n := int64(binary.LittleEndian.Uint64(h[5:13]))
-		name := v1SectionNames[id]
-		if name == "" {
-			name = fmt.Sprintf("unknown(%d)", id)
-		}
-		payloadOff := off + sectionHeaderLen
-		if n < 0 || payloadOff+n > size {
-			return nil, fmt.Errorf("kb: snapshot section %d truncated", id)
-		}
-		info.Sections = append(info.Sections, SectionInfo{
-			ID: id, Name: name, Offset: payloadOff, Length: n,
-			CRC:     binary.LittleEndian.Uint32(h[1:5]),
-			Aligned: payloadOff%snapPageSize == 0,
-		})
-		off = payloadOff + n
-		if id == secEnd {
-			return info, nil
-		}
-	}
-}
-
-func readV2Info(f *os.File, size int64) (*SnapshotInfo, error) {
-	var cnt [8]byte
-	if _, err := f.ReadAt(cnt[:], 0); err != nil {
-		return nil, err
-	}
-	n := int(binary.LittleEndian.Uint16(cnt[6:8]))
-	hdr := make([]byte, 8+n*dirEntryLen)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
-		return nil, fmt.Errorf("kb: snapshot truncated in the section directory")
-	}
-	dir, err := parseV2Directory(hdr, size)
+	_, dir, err := readDirectory(f, st.Size())
 	if err != nil {
 		return nil, err
 	}
-	info := &SnapshotInfo{Version: SnapshotVersion2, FileSize: size, Mmap: true}
+	info := &SnapshotInfo{Version: SnapshotVersion2, FileSize: st.Size()}
 	ids := make([]byte, 0, len(dir))
 	for id := range dir {
 		ids = append(ids, id)
@@ -1155,4 +1228,36 @@ func readV2Info(f *os.File, size int64) (*SnapshotInfo, error) {
 		})
 	}
 	return info, nil
+}
+
+// varintReader decodes unsigned varints from a byte slice.
+type varintReader struct {
+	b   []byte
+	off int
+}
+
+// uvarint keeps the dominant one- and two-byte cases (IDs and counts
+// below 2^14) on an inlinable fast path.
+func (r *varintReader) uvarint() (uint64, error) {
+	if r.off+1 < len(r.b) {
+		c := r.b[r.off]
+		if c < 0x80 {
+			r.off++
+			return uint64(c), nil
+		}
+		if c2 := r.b[r.off+1]; c2 < 0x80 {
+			r.off += 2
+			return uint64(c&0x7f) | uint64(c2)<<7, nil
+		}
+	}
+	return r.uvarintSlow()
+}
+
+func (r *varintReader) uvarintSlow() (uint64, error) {
+	v, n := binary.Uvarint(r.b[r.off:])
+	if n <= 0 {
+		return 0, fmt.Errorf("truncated or malformed varint at offset %d", r.off)
+	}
+	r.off += n
+	return v, nil
 }

@@ -3,16 +3,20 @@ package kb
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 )
 
-// snap2Bytes serializes g in the v2 format, failing the test on error.
-func snap2Bytes(t *testing.T, g *Graph) []byte {
+// snap2Bytes serializes g as a DKBS snapshot, failing the test on
+// error.
+func snap2Bytes(t testing.TB, g *Graph) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := g.WriteSnapshotV2(&buf); err != nil {
@@ -40,7 +44,7 @@ func checkGraphSemantics(t *testing.T, g *Graph) {
 	born := g.Lookup("wasBornIn")
 	karcag := g.Lookup("Karcag")
 	if s == Invalid || born == Invalid || karcag == Invalid {
-		t.Fatal("entity lost in v2 round trip")
+		t.Fatal("entity lost in snapshot round trip")
 	}
 	if got := g.Subjects(born, karcag); len(got) != 1 || got[0] != s {
 		t.Errorf("Subjects(wasBornIn, Karcag) = %v, want [%d]", got, s)
@@ -49,23 +53,26 @@ func checkGraphSemantics(t *testing.T, g *Graph) {
 		t.Errorf("Objects(Hershko, wasBornIn) = %v, want [%d]", got, karcag)
 	}
 	if !g.HasEdge(s, born, karcag) {
-		t.Error("HasEdge lost in v2 round trip")
+		t.Error("HasEdge lost in snapshot round trip")
 	}
 	if g.Lookup("no such node") != Invalid {
 		t.Error("Lookup invented a node")
 	}
 	lit := g.Lookup("1937-12-31")
 	if lit == Invalid || g.KindOf(lit) != KindLiteral {
-		t.Error("literal kind lost in v2 round trip")
+		t.Error("literal kind lost in snapshot round trip")
 	}
 	if !g.HasType(g.Lookup("Haifa"), g.Lookup("location")) {
-		t.Error("taxonomy closure lost in v2 round trip")
+		t.Error("taxonomy closure lost in snapshot round trip")
 	}
 	if got := g.InstancesOf(g.Lookup("city")); len(got) != 2 {
 		t.Errorf("InstancesOf(city) = %d instances, want 2", len(got))
 	}
 	if got := g.Subclasses(g.Lookup("location")); len(got) != 1 {
 		t.Errorf("Subclasses(location) = %v, want one class", got)
+	}
+	if got := g.Subclasses(g.Lookup("awards")); len(got) != 1 {
+		t.Errorf("Subclasses(awards) = %v, want one class", got)
 	}
 }
 
@@ -76,40 +83,88 @@ func v2TestGraph() *Graph {
 	return g
 }
 
-func TestSnapshotV2RoundTripDecode(t *testing.T) {
+// unsized hides a reader's Len method, so LoadSnapshot cannot size its
+// buffer up front and must grow it as bytes arrive.
+type unsized struct{ io.Reader }
+
+func TestSnapshotRoundTrip(t *testing.T) {
 	g := v2TestGraph()
 	snap := snap2Bytes(t, g)
 
-	g2, err := LoadSnapshot(bytes.NewReader(snap))
-	if err != nil {
-		t.Fatalf("LoadSnapshot(v2): %v", err)
+	for name, r := range map[string]io.Reader{
+		"sized":   bytes.NewReader(snap),
+		"unsized": unsized{bytes.NewReader(snap)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			g2, err := LoadSnapshot(r)
+			if err != nil {
+				t.Fatalf("LoadSnapshot: %v", err)
+			}
+			if !g2.ReadOnly() {
+				t.Error("snapshot-loaded graph is not read-only")
+			}
+			if g2.Mapped() {
+				t.Error("LoadSnapshot graph claims to be mmap'd")
+			}
+			// The encoding is canonical, so re-encoding the loaded graph
+			// must reproduce the original bytes exactly — node table,
+			// kinds, predicates, taxonomy, types, triples and counts in
+			// one comparison.
+			if !bytes.Equal(snap, snap2Bytes(t, g2)) {
+				t.Error("re-encoded snapshot differs from original (round trip not exact)")
+			}
+			if got, want := encodeText(t, g2), encodeText(t, g); got != want {
+				t.Error("text encodings differ after snapshot round trip")
+			}
+			if g2.Generation() != g.Generation() {
+				t.Errorf("generation: got %d, want %d", g2.Generation(), g.Generation())
+			}
+			if g2.NumTriples() != g.NumTriples() || g2.NumNodes() != g.NumNodes() {
+				t.Errorf("counts differ: %d/%d nodes, %d/%d triples",
+					g2.NumNodes(), g.NumNodes(), g2.NumTriples(), g.NumTriples())
+			}
+			checkGraphSemantics(t, g2)
+			// Every name must resolve back to its own ID through the
+			// name table, and no other.
+			for id := 0; id < g.NumNodes(); id++ {
+				name := g.Name(ID(id))
+				if got := g2.Lookup(name); got == Invalid || g2.Name(got) != name {
+					t.Fatalf("Lookup(%q) = %d via name table, want the ID naming %q", name, got, name)
+				}
+			}
+		})
 	}
-	if !g2.ReadOnly() {
-		t.Error("v2-loaded graph is not read-only")
-	}
-	if g2.Mapped() {
-		t.Error("decode-path graph claims to be mmap'd")
-	}
-	if got, want := encodeText(t, g2), encodeText(t, g); got != want {
-		t.Error("text encodings differ after v2 round trip")
-	}
-	if g2.Generation() != g.Generation() {
-		t.Errorf("generation: got %d, want %d", g2.Generation(), g.Generation())
-	}
-	if g2.NumTriples() != g.NumTriples() || g2.NumNodes() != g.NumNodes() {
-		t.Errorf("counts differ: %d/%d nodes, %d/%d triples",
-			g2.NumNodes(), g.NumNodes(), g2.NumTriples(), g.NumTriples())
-	}
-	checkGraphSemantics(t, g2)
+}
 
-	// Every name must resolve back to its own ID through the name
-	// table, and no other.
-	for id := 0; id < g.NumNodes(); id++ {
-		name := g.Name(ID(id))
-		if got := g2.Lookup(name); got == Invalid || g2.Name(got) != name {
-			t.Fatalf("Lookup(%q) = %d via name table, want the ID naming %q", name, got, name)
-		}
+// TestSnapshotV2RoundTripDecode keeps the big-endian read path tested
+// on little-endian hosts: the same bytes loaded through the portable
+// decodeSections copy and through the in-place castSections view must
+// be the same graph.
+func TestSnapshotV2RoundTripDecode(t *testing.T) {
+	g := v2TestGraph()
+	snap := snap2Bytes(t, g)
+	dir, err := parseV2Directory(snap, int64(len(snap)))
+	if err != nil {
+		t.Fatal(err)
 	}
+	decoded, err := newSnapshotGraph(snap, dir, allSections, decodeSections)
+	if err != nil {
+		t.Fatalf("decodeSections load: %v", err)
+	}
+	cast, err := newSnapshotGraph(snap, dir, allSections, castSections)
+	if err != nil {
+		t.Fatalf("castSections load: %v", err)
+	}
+	if !bytes.Equal(snap2Bytes(t, decoded), snap2Bytes(t, cast)) {
+		t.Error("decodeSections and castSections graphs re-encode to different bytes")
+	}
+	if !bytes.Equal(snap, snap2Bytes(t, decoded)) {
+		t.Error("decodeSections graph does not re-encode to the original bytes")
+	}
+	if got, want := encodeText(t, decoded), encodeText(t, cast); got != want {
+		t.Error("decodeSections and castSections graphs encode to different text")
+	}
+	checkGraphSemantics(t, decoded)
 }
 
 func TestSnapshotV2MmapLoad(t *testing.T) {
@@ -120,10 +175,10 @@ func TestSnapshotV2MmapLoad(t *testing.T) {
 	}
 	g2, err := LoadSnapshotFile(path)
 	if err != nil {
-		t.Fatalf("LoadSnapshotFile(v2): %v", err)
+		t.Fatalf("LoadSnapshotFile: %v", err)
 	}
 	if runtime.GOOS == "linux" && !g2.Mapped() {
-		t.Error("v2 snapshot on linux did not take the mmap path")
+		t.Error("snapshot on linux did not take the mmap path")
 	}
 	if !g2.ReadOnly() {
 		t.Error("mapped graph is not read-only")
@@ -134,58 +189,90 @@ func TestSnapshotV2MmapLoad(t *testing.T) {
 	checkGraphSemantics(t, g2)
 }
 
-func TestSnapshotV1FileFallsBackToDecode(t *testing.T) {
-	g := v2TestGraph()
-	path := filepath.Join(t.TempDir(), "kb.snap")
-	if err := os.WriteFile(path, snapBytes(t, g), 0o644); err != nil {
+// v1Header is the first bytes of a DKBS version 1 file.
+var v1Header = []byte{'D', 'K', 'B', 'S', 1, 0, 0, 0, 1, 0, 0, 0, 0}
+
+// TestSnapshotV1Rejected: every reader refuses a v1 file with the typed
+// error that tells the operator how to migrate.
+func TestSnapshotV1Rejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v1.snap")
+	if err := os.WriteFile(path, v1Header, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := LoadSnapshotFile(path)
-	if err != nil {
-		t.Fatalf("LoadSnapshotFile(v1): %v", err)
-	}
-	if g2.Mapped() || g2.ReadOnly() {
-		t.Error("v1 snapshot should decode to a mutable, unmapped graph")
-	}
-	// Byte-identical v1 re-encode: the decode fallback preserves the
-	// canonical form exactly.
-	if !bytes.Equal(snapBytes(t, g), snapBytes(t, g2)) {
-		t.Error("v1 snapshot did not round trip byte-identically through LoadSnapshotFile")
+	_, errLoad := LoadSnapshot(bytes.NewReader(v1Header))
+	_, errFile := LoadSnapshotFile(path)
+	_, errInfo := ReadSnapshotInfo(path)
+	for name, err := range map[string]error{
+		"LoadSnapshot": errLoad, "LoadSnapshotFile": errFile, "ReadSnapshotInfo": errInfo,
+	} {
+		if !errors.Is(err, ErrSnapshotV1) {
+			t.Errorf("%s(v1) = %v, want ErrSnapshotV1", name, err)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "version 1") || !strings.Contains(msg, "kbtool pack") {
+			t.Errorf("%s(v1) error %q does not name version 1 and `kbtool pack`", name, msg)
+		}
 	}
 }
 
-func TestSnapshotV2Deterministic(t *testing.T) {
+func TestSnapshotDeterministic(t *testing.T) {
 	g := v2TestGraph()
-	a := snap2Bytes(t, g)
-	if !bytes.Equal(a, snap2Bytes(t, g)) {
-		t.Fatal("two v2 encodings of the same graph differ")
+	if !bytes.Equal(snap2Bytes(t, g), snap2Bytes(t, g)) {
+		t.Fatal("two encodings of the same graph differ")
 	}
-	// Re-packing a loaded (read-only) graph must reproduce the same
-	// bytes: the canonicalization is a fixed point, and the writer
-	// works off the span-table storage as well as the map storage.
+}
+
+// TestSnapshotV2Deterministic: the canonicalization is a fixed point
+// over every storage form — the writer works off a stream-loaded
+// graph's cast arenas and an mmap'd graph's file pages as well as a
+// mutable graph's maps, and all three yield the same bytes.
+func TestSnapshotV2Deterministic(t *testing.T) {
+	a := snap2Bytes(t, v2TestGraph())
 	g2, err := LoadSnapshot(bytes.NewReader(a))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, snap2Bytes(t, g2)) {
-		t.Fatal("re-packing a v2-loaded graph changed the bytes")
+		t.Fatal("re-packing a stream-loaded graph changed the bytes")
 	}
-	// Cross-format: a graph decoded from v1 must v2-encode identically
-	// to the original.
-	g3, err := LoadSnapshot(bytes.NewReader(snapBytes(t, g)))
+	path := filepath.Join(t.TempDir(), "kb.snap")
+	if err := os.WriteFile(path, a, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g3, err := LoadSnapshotFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, snap2Bytes(t, g3)) {
-		t.Fatal("v1-loaded graph v2-encodes differently")
+		t.Fatal("re-packing a file-loaded graph changed the bytes")
 	}
 }
 
-func TestSnapshotV2EmptyGraph(t *testing.T) {
-	g := New()
+func TestSnapshotEmptyGraph(t *testing.T) {
+	g := New() // only the literal pseudo-class is interned
 	g2, err := LoadSnapshot(bytes.NewReader(snap2Bytes(t, g)))
 	if err != nil {
-		t.Fatalf("LoadSnapshot(empty v2): %v", err)
+		t.Fatalf("LoadSnapshot(empty): %v", err)
+	}
+	if g2.NumNodes() != g.NumNodes() || g2.NumTriples() != 0 {
+		t.Errorf("empty graph round trip: %d nodes, %d triples", g2.NumNodes(), g2.NumTriples())
+	}
+	if g2.literalClass != g.literalClass {
+		t.Errorf("literalClass: got %d, want %d", g2.literalClass, g.literalClass)
+	}
+}
+
+// TestSnapshotV2EmptyGraph loads the empty graph through the file path,
+// where every arena section is zero bytes long.
+func TestSnapshotV2EmptyGraph(t *testing.T) {
+	g := New()
+	path := filepath.Join(t.TempDir(), "empty.snap")
+	if err := os.WriteFile(path, snap2Bytes(t, g), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g2, err := LoadSnapshotFile(path)
+	if err != nil {
+		t.Fatalf("LoadSnapshotFile(empty): %v", err)
 	}
 	if g2.NumNodes() != g.NumNodes() || g2.NumTriples() != 0 {
 		t.Errorf("empty graph round trip: %d nodes, %d triples", g2.NumNodes(), g2.NumTriples())
@@ -217,7 +304,7 @@ func TestSnapshotV2ReadOnlyPanics(t *testing.T) {
 	}
 }
 
-// v2Section locates section id in a v2 snapshot via its directory.
+// findV2Section locates section id in a snapshot via its directory.
 func findV2Section(t *testing.T, data []byte, id byte) (dirOff int, e dirEntry) {
 	t.Helper()
 	n := int(binary.LittleEndian.Uint16(data[6:8]))
@@ -233,20 +320,93 @@ func findV2Section(t *testing.T, data []byte, id byte) (dirOff int, e dirEntry) 
 			}
 		}
 	}
-	t.Fatalf("section %d not found in v2 snapshot", id)
+	t.Fatalf("section %d not found in snapshot", id)
 	return 0, dirEntry{}
 }
 
+type corruptCase struct {
+	name    string
+	data    []byte
+	wantErr string
+}
+
+// checkCorrupt loads each case through the reader wrap builds and
+// expects a typed error naming wantErr.
+func checkCorrupt(t *testing.T, cases []corruptCase, wrap func([]byte) io.Reader) {
+	t.Helper()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := LoadSnapshot(wrap(tc.data))
+			if err == nil {
+				t.Fatal("LoadSnapshot succeeded on corrupt input")
+			}
+			if !errors.Is(err, ErrCorruptSnapshot) && !errors.Is(err, ErrSnapshotV1) {
+				t.Errorf("error %v is not typed", err)
+			}
+			if !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestSnapshotCorruption feeds damaged header, directory and framing
+// bytes through a reader that cannot report its length, so every case
+// also runs the buffer-growing read.
+func TestSnapshotCorruption(t *testing.T) {
+	good := snap2Bytes(t, v2TestGraph())
+	mutate := func(f func(b []byte) []byte) []byte {
+		return f(append([]byte(nil), good...))
+	}
+	checkCorrupt(t, []corruptCase{
+		{"empty input", nil, "bad snapshot magic"},
+		{"bad magic", mutate(func(b []byte) []byte { b[0] = 'X'; return b }), "bad snapshot magic"},
+		{"wrong version", mutate(func(b []byte) []byte {
+			binary.LittleEndian.PutUint16(b[4:6], 99)
+			return b
+		}), "unsupported snapshot version 99"},
+		{"truncated header", good[:6], "truncated in the header"},
+		{"truncated section", mutate(func(b []byte) []byte {
+			_, e := findV2Section(t, b, sec2OutEdges)
+			return b[:e.off+1] // cut mid-payload
+		}), "out of bounds"},
+		{"checksum mismatch", mutate(func(b []byte) []byte {
+			_, e := findV2Section(t, b, sec2NameBytes)
+			b[e.off] ^= 0xFF
+			return b
+		}), "checksum mismatch"},
+		{"missing section", mutate(func(b []byte) []byte {
+			// Drop the last directory entry and shrink the count.
+			n := binary.LittleEndian.Uint16(b[6:8])
+			binary.LittleEndian.PutUint16(b[6:8], n-1)
+			return b
+		}), fmt.Sprintf("section %d missing", sec2Max-1)},
+		{"duplicate section", mutate(func(b []byte) []byte {
+			dirOff, _ := findV2Section(t, b, sec2POIDs)
+			b[dirOff] = sec2POSpans
+			return b
+		}), "duplicate snapshot section"},
+		{"corrupt name lengths", mutate(func(b []byte) []byte {
+			// Point a name past the blob and fix the CRC, so only
+			// structural validation can catch it.
+			dirOff, e := findV2Section(t, b, sec2NameOffs)
+			binary.LittleEndian.PutUint32(b[e.off+4:], 1<<30)
+			binary.LittleEndian.PutUint32(b[dirOff+4:], crc32.Checksum(b[e.off:e.off+e.n], crcTable))
+			return b
+		}), "out of order or out of range"},
+	}, func(b []byte) io.Reader { return unsized{bytes.NewReader(b)} })
+}
+
+// TestSnapshotV2Corruption feeds damaged bytes through a sized reader,
+// which LoadSnapshot reads in one allocation.
 func TestSnapshotV2Corruption(t *testing.T) {
 	good := snap2Bytes(t, v2TestGraph())
 	mutate := func(f func(b []byte) []byte) []byte {
 		return f(append([]byte(nil), good...))
 	}
-	cases := []struct {
-		name    string
-		data    []byte
-		wantErr string
-	}{
+	checkCorrupt(t, []corruptCase{
+		{"empty input", nil, "bad snapshot magic"},
+		{"v1 header", v1Header, "version 1"},
 		{"truncated directory", good[:16], "truncated in the section directory"},
 		{"section out of bounds", mutate(func(b []byte) []byte {
 			dirOff, _ := findV2Section(t, b, sec2OutEdges)
@@ -273,6 +433,11 @@ func TestSnapshotV2Corruption(t *testing.T) {
 			b[e.off] ^= 0xFF
 			return b
 		}), "checksum mismatch"},
+		{"raw flag cleared", mutate(func(b []byte) []byte {
+			dirOff, _ := findV2Section(t, b, sec2SPKeys)
+			b[dirOff+1] = 0
+			return b
+		}), "wrong storage flag"},
 		{"span out of range", mutate(func(b []byte) []byte {
 			// Grow a type span beyond its arena and fix the CRC so only
 			// the structural bounds check can catch it.
@@ -283,62 +448,78 @@ func TestSnapshotV2Corruption(t *testing.T) {
 			binary.LittleEndian.PutUint32(b[dirOff+4:], crc)
 			return b
 		}), "out of range"},
+	}, func(b []byte) io.Reader { return bytes.NewReader(b) })
+}
+
+// TestLoadSnapshotAllocationBounded: a directory claiming a terabyte
+// must cost memory in proportion to the bytes that arrive, not to the
+// claim.
+func TestLoadSnapshotAllocationBounded(t *testing.T) {
+	good := snap2Bytes(t, v2TestGraph())
+	bad := append([]byte(nil), good...)
+	dirOff, _ := findV2Section(t, bad, sec2OutEdges)
+	binary.LittleEndian.PutUint64(bad[dirOff+16:], 1<<40)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := LoadSnapshot(unsized{bytes.NewReader(bad)})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("LoadSnapshot = %v, want a corrupt-snapshot error", err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := LoadSnapshot(bytes.NewReader(tc.data))
-			if err == nil {
-				t.Fatal("LoadSnapshot succeeded on corrupt v2 input")
-			}
-			if !bytes.Contains([]byte(err.Error()), []byte(tc.wantErr)) {
-				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
-			}
-		})
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(bad)+1<<20); got > limit {
+		t.Fatalf("allocated %d bytes for a %d-byte input (limit %d)", got, len(bad), limit)
 	}
 }
 
 func TestReadSnapshotInfo(t *testing.T) {
-	g := v2TestGraph()
-	dir := t.TempDir()
-
-	v1 := filepath.Join(dir, "v1.snap")
-	if err := os.WriteFile(v1, snapBytes(t, g), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "kb.snap")
+	snap := snap2Bytes(t, v2TestGraph())
+	if err := os.WriteFile(path, snap, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	info, err := ReadSnapshotInfo(v1)
+	info, err := ReadSnapshotInfo(path)
 	if err != nil {
-		t.Fatalf("ReadSnapshotInfo(v1): %v", err)
+		t.Fatalf("ReadSnapshotInfo: %v", err)
 	}
-	if info.Version != SnapshotVersion || info.Mmap {
-		t.Errorf("v1 info: version %d, mmap %v", info.Version, info.Mmap)
-	}
-	if len(info.Sections) != 10 { // 9 payload sections + end
-		t.Errorf("v1 info: %d sections, want 10", len(info.Sections))
-	}
-
-	v2 := filepath.Join(dir, "v2.snap")
-	v2bytes := snap2Bytes(t, g)
-	if err := os.WriteFile(v2, v2bytes, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	info, err = ReadSnapshotInfo(v2)
-	if err != nil {
-		t.Fatalf("ReadSnapshotInfo(v2): %v", err)
-	}
-	if info.Version != SnapshotVersion2 || !info.Mmap {
-		t.Errorf("v2 info: version %d, mmap %v", info.Version, info.Mmap)
+	if info.Version != SnapshotVersion2 {
+		t.Errorf("info: version %d", info.Version)
 	}
 	if len(info.Sections) != int(sec2Max-1) {
-		t.Errorf("v2 info: %d sections, want %d", len(info.Sections), sec2Max-1)
+		t.Errorf("info: %d sections, want %d", len(info.Sections), sec2Max-1)
 	}
-	if info.FileSize != int64(len(v2bytes)) {
-		t.Errorf("v2 info: file size %d, want %d", info.FileSize, len(v2bytes))
+	if info.FileSize != int64(len(snap)) {
+		t.Errorf("info: file size %d, want %d", info.FileSize, len(snap))
 	}
 	for _, s := range info.Sections {
 		if s.Raw && !s.Aligned {
 			t.Errorf("raw section %s at offset %d is not page-aligned", s.Name, s.Offset)
 		}
 	}
+}
+
+// FuzzLoadSnapshot: whatever the bytes, the one snapshot reader returns
+// a graph or a typed error, and never panics.
+func FuzzLoadSnapshot(f *testing.F) {
+	for _, path := range []string{"../../testdata/delta/old.dkbs", "../../testdata/delta/new.dkbs"} {
+		seed, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
+	f.Add(snap2Bytes(f, New()))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := LoadSnapshot(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrCorruptSnapshot) && !errors.Is(err, ErrSnapshotV1) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		if g.NumNodes() == 0 {
+			t.Fatal("loaded graph has no nodes (the literal class is always interned)")
+		}
+	})
 }
 
 func TestNameTable(t *testing.T) {

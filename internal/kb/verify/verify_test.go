@@ -197,38 +197,35 @@ func TestReportTruncation(t *testing.T) {
 
 // --- snapshot section surgery ---------------------------------------
 //
-// The DKBS format stores triples twice (subject- and object-grouped)
-// and decodes the two sections independently; a payload whose CRC is
-// recomputed after mutation loads cleanly but yields an asymmetric
-// graph. These helpers rewrite one section in place to simulate that.
+// A DKBS snapshot stores triples twice (subject- and object-grouped
+// edge arenas) and checks each section only against its own CRC; a
+// payload whose CRC is recomputed after mutation loads cleanly but
+// yields an asymmetric graph. These helpers rewrite one raw edge
+// section in place to simulate that.
 
+// Section IDs of the raw edge arenas (Edge = u32 pred, u32 to).
 const (
-	sectTriples   byte = 8
-	sectTriplesIn byte = 9
+	sectOutEdges byte = 16
+	sectInEdges  byte = 18
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// mutateSection applies fn to the payload of section id and fixes up
-// its CRC and length.
-func mutateSection(t *testing.T, snap []byte, id byte, fn func([]byte) []byte) []byte {
+// mutateSection applies fn to the payload of section id in a copy of
+// snap and fixes up the section's CRC in the directory.
+func mutateSection(t *testing.T, snap []byte, id byte, fn func([]byte)) []byte {
 	t.Helper()
-	off := 8 // magic + version + reserved
-	for off < len(snap) {
-		sid := snap[off]
-		ln := binary.LittleEndian.Uint64(snap[off+5 : off+13])
-		start, end := off+13, off+13+int(ln)
-		if sid != id {
-			off = end
+	out := append([]byte(nil), snap...)
+	n := int(binary.LittleEndian.Uint16(out[6:8]))
+	for i := 0; i < n; i++ {
+		e := out[8+i*24 : 8+(i+1)*24]
+		if e[0] != id {
 			continue
 		}
-		payload := fn(append([]byte(nil), snap[start:end]...))
-		out := append([]byte(nil), snap[:off]...)
-		out = append(out, sid)
-		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
-		out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-		out = append(out, payload...)
-		out = append(out, snap[end:]...)
+		off := binary.LittleEndian.Uint64(e[8:16])
+		payload := out[off : off+binary.LittleEndian.Uint64(e[16:24])]
+		fn(payload)
+		binary.LittleEndian.PutUint32(e[4:8], crc32.Checksum(payload, castagnoli))
 		return out
 	}
 	t.Fatalf("section %d not found", id)
@@ -242,7 +239,7 @@ func tinyGraph(t *testing.T) (*kb.Graph, []byte) {
 	g.AddTriple("a", "p", "b")
 	g.Freeze()
 	var buf bytes.Buffer
-	if err := g.WriteSnapshot(&buf); err != nil {
+	if err := g.WriteSnapshotV2(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return g, buf.Bytes()
@@ -260,18 +257,13 @@ func reload(t *testing.T, snap []byte) *kb.Graph {
 func TestCheckDetectsAsymmetricIndexes(t *testing.T) {
 	g, snap := tinyGraph(t)
 	a, b := g.Lookup("a"), g.Lookup("b")
-	// triplesIn payload: numKeys, then per key (obj, count, pred, subj).
-	// Redirect the sole in-edge's subject from a to b: the in/po side
-	// now disagrees with out/sp.
-	snap = mutateSection(t, snap, sectTriplesIn, func(p []byte) []byte {
-		for i := len(p) - 1; i >= 0; i-- {
-			if p[i] == byte(a) {
-				p[i] = byte(b)
-				return p
-			}
+	// The in-edge arena holds one edge, (p, a). Redirect its subject
+	// from a to b: the in side now disagrees with out/sp.
+	snap = mutateSection(t, snap, sectInEdges, func(p []byte) {
+		if got := kb.ID(binary.LittleEndian.Uint32(p[4:])); got != a {
+			t.Fatalf("in-edge subject = %d, want a (%d)", got, a)
 		}
-		t.Fatal("subject varint not found in triplesIn payload")
-		return p
+		binary.LittleEndian.PutUint32(p[4:], uint32(b))
 	})
 	r := Check(reload(t, snap), Options{})
 	if r.OK() {
@@ -287,15 +279,11 @@ func TestCheckDetectsUnregisteredPredicate(t *testing.T) {
 	p, b := g.Lookup("p"), g.Lookup("b")
 	// Rewrite the out-edge's predicate to point at node b (an
 	// instance, not a registered predicate).
-	snap = mutateSection(t, snap, sectTriples, func(pl []byte) []byte {
-		for i := 0; i < len(pl); i++ {
-			if pl[i] == byte(p) {
-				pl[i] = byte(b)
-				return pl
-			}
+	snap = mutateSection(t, snap, sectOutEdges, func(pl []byte) {
+		if got := kb.ID(binary.LittleEndian.Uint32(pl)); got != p {
+			t.Fatalf("out-edge predicate = %d, want p (%d)", got, p)
 		}
-		t.Fatal("predicate varint not found in triples payload")
-		return pl
+		binary.LittleEndian.PutUint32(pl, uint32(b))
 	})
 	r := Check(reload(t, snap), Options{})
 	if len(findings(r, "structural")) == 0 {

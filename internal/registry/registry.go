@@ -53,8 +53,8 @@ type TenantConfig struct {
 	// Name is the tenant's URL segment: /v1/{name}/clean. Required on
 	// tenants (ignored in Defaults); letters, digits, '-', '_', '.'.
 	Name string `json:"name,omitempty"`
-	// Snapshot is a DKBS snapshot path (v1 or v2; v2 is mmap'd in
-	// place on supported platforms). Takes precedence over KBText.
+	// Snapshot is a DKBS snapshot path (mmap'd in place on supported
+	// platforms). Takes precedence over KBText.
 	Snapshot string `json:"snapshot,omitempty"`
 	// KBText is a triple-text KB path, the slow-load alternative.
 	KBText string `json:"kbText,omitempty"`

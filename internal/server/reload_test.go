@@ -264,7 +264,7 @@ func TestReloadUnderLoadSurvivesBadCandidates(t *testing.T) {
 
 	// A well-formed snapshot whose stream is cut mid-decode.
 	var snap bytes.Buffer
-	if err := reloadGraph("B").WriteSnapshot(&snap); err != nil {
+	if err := reloadGraph("B").WriteSnapshotV2(&snap); err != nil {
 		t.Fatal(err)
 	}
 	loadTruncated := func() (*kb.Graph, error) {
