@@ -51,11 +51,13 @@ bench:
 bench-smoke:
 	go test -run='^$$' -bench=. -benchtime=1x ./...
 
-# Remeasure the repair benchmarks and gate against the committed
-# baseline (the CI benchmark-regression gate, runnable locally).
+# Benchmark-regression gate: the gated `go test` benchmarks measured
+# on BASE and on the working tree, interleaved on this machine, then
+# compared by cmd/benchdiff (the CI gate, runnable locally; see
+# scripts/benchdiff.sh).
+BASE ?= HEAD
 benchdiff:
-	go run ./cmd/experiments -bench-repair BENCH_repair.json
-	go run ./cmd/benchdiff -baseline BENCH_baseline.json -current BENCH_repair.json
+	BASE=$(BASE) ./scripts/benchdiff.sh
 
 # Snapshot golden gate: packing the checked-in sample KB must be
 # byte-deterministic, and unpacking the snapshot must round-trip to
@@ -118,4 +120,4 @@ e2e:
 	./scripts/e2e.sh
 
 clean:
-	rm -rf results test_output.txt bench_output.txt coverage.out
+	rm -rf results test_output.txt bench_output.txt coverage.out bench_base.txt bench_head.txt

@@ -5,6 +5,9 @@
 // presentation-quality runs and -paper-scale for the paper's sizes.
 // The per-tuple micro-benchmarks at the bottom isolate the repair
 // engines themselves (bRepair vs fRepair — the Figure 8 contrast).
+// scripts/benchdiff.sh (`make benchdiff`) gates a named subset of
+// them, with those of internal/kb and internal/registry, base commit
+// against head on one machine; the list of gated series lives there.
 package detective_test
 
 import (
@@ -18,8 +21,10 @@ import (
 	"detective/internal/dataset"
 	"detective/internal/eval"
 	"detective/internal/katara"
+	"detective/internal/kb"
 	"detective/internal/relation"
 	"detective/internal/repair"
+	"detective/internal/repair/ensemble/adapters"
 )
 
 // benchConfig keeps one experiment iteration small enough for
@@ -143,9 +148,7 @@ func nobelEngine(b *testing.B, n int) (*dataset.Bundle, *dataset.Injected, *repa
 // view of Figure 8's bRepair/fRepair gap: the basic algorithm scans
 // class extents, the fast one uses the signature indexes, rule
 // ordering, shared checks with dense IDs, pooled per-tuple state and
-// the cross-tuple candidate cache. BenchmarkFastRepairTuple's
-// allocs/op is the number tracked across PRs in BENCH_repair.json
-// (see cmd/experiments -bench-repair).
+// the cross-tuple candidate cache.
 func BenchmarkBRepairTuple(b *testing.B) {
 	_, inj, e := nobelEngine(b, 500)
 	b.ReportAllocs()
@@ -274,9 +277,7 @@ func BenchmarkRepairTableParallel(b *testing.B) {
 // duplicate-heavy bench corpus (each Nobel row repeated in a 1–8 row
 // burst) across pipeline widths. workers=1 is the serial path; wider
 // runs add the chunked pipeline's in-chunk dedup plus, on multi-core
-// machines, worker parallelism. This is the benchmark the CI
-// regression gate (cmd/benchdiff) tracks via cmd/experiments
-// -bench-repair.
+// machines, worker parallelism.
 func BenchmarkCleanCSVStreamParallel(b *testing.B) {
 	bundle := dataset.NewNobel(1, 400)
 	inj := bundle.Inject(dataset.Noise{Rate: 0.30, TypoFrac: 0.5, Seed: 1})
@@ -354,6 +355,73 @@ func BenchmarkCleanCSVStreamZipf(b *testing.B) {
 			b.ReportMetric(float64(corpus.Len()*b.N)/b.Elapsed().Seconds(), "rows/s")
 		})
 	}
+}
+
+// ensembleEngine builds a four-engine ensemble (DR, KATARA, FD and
+// constant CFD voting per cell) over bundle, with the given pipeline
+// width and memo setting.
+func ensembleEngine(b *testing.B, bundle *dataset.Bundle, inj *dataset.Injected, opts repair.Options) *repair.Engine {
+	b.Helper()
+	store := kb.NewStore(bundle.Yago)
+	opts.Ensemble = repair.EnsembleOptions{
+		Enabled:   true,
+		Proposers: adapters.BuildProposers(bundle.Schema, bundle.Pattern, store, inj.Truth),
+	}
+	e, err := repair.NewEngineStore(bundle.Rules, store, bundle.Schema, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e.Warm()
+	return e
+}
+
+// BenchmarkEnsembleTuple4 is the per-tuple cost of the ensemble's
+// weighted vote, memo off, on the corpus of BenchmarkFastRepairTuple —
+// the price of ?ensemble=1 against a plain cold tuple.
+func BenchmarkEnsembleTuple4(b *testing.B) {
+	bundle, inj, _ := nobelEngine(b, 500)
+	e := ensembleEngine(b, bundle, inj, repair.Options{MemoDisabled: true})
+	dst := &relation.Tuple{
+		Values: make([]string, len(bundle.Schema.Attrs)),
+		Marked: make([]bool, len(bundle.Schema.Attrs)),
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.RepairRowEnsemble(context.Background(), dst, inj.Dirty.Tuples[i%inj.Dirty.Len()].Values)
+	}
+}
+
+// BenchmarkCleanCSVStreamEnsemble runs the 8-worker streaming pipeline
+// in ensemble mode, memo on, over BenchmarkCleanCSVStreamZipf's corpus,
+// so it reads directly against CleanCSVStreamZipf/workers=8.
+func BenchmarkCleanCSVStreamEnsemble(b *testing.B) {
+	bundle := dataset.NewNobel(1, 400)
+	inj := bundle.Inject(dataset.Noise{Rate: 0.30, TypoFrac: 0.5, Seed: 1})
+	corpus := dataset.ZipfTable(inj.Dirty, 1, 1.1, 8192)
+	var buf bytes.Buffer
+	if err := corpus.WriteCSV(&buf); err != nil {
+		b.Fatal(err)
+	}
+	input := buf.String()
+
+	b.Run("workers=8", func(b *testing.B) {
+		e := ensembleEngine(b, bundle, inj, repair.Options{Workers: 8})
+		b.ReportAllocs()
+		b.SetBytes(int64(len(input)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := e.CleanCSVStreamEnsembleContext(context.Background(),
+				strings.NewReader(input), io.Discard, true)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Rows != corpus.Len() {
+				b.Fatalf("streamed %d of %d rows", res.Rows, corpus.Len())
+			}
+		}
+		b.ReportMetric(float64(corpus.Len()*b.N)/b.Elapsed().Seconds(), "rows/s")
+	})
 }
 
 func BenchmarkExtensionPathRule(b *testing.B) {

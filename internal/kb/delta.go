@@ -472,19 +472,32 @@ func writeSection(bw *bufio.Writer, id byte, payload []byte) error {
 	return err
 }
 
+// ErrCorruptDelta matches (via errors.Is) every error that reports
+// bytes which are not a well-formed DKBD delta — bad magic, an unknown
+// version, a truncated, duplicated or missing section, a checksum
+// mismatch, or a payload that fails its structural bounds — and a
+// Delta whose name and kind tables disagree. Read failures of the
+// underlying source are reported as they are, not as corruption.
+var ErrCorruptDelta = errors.New("kb: corrupt delta")
+
+func corruptDeltaf(format string, args ...any) error {
+	return &corruptError{fmt.Sprintf(format, args...), ErrCorruptDelta}
+}
+
 // ReadDelta parses a DKBD delta. Every section is checksum-verified
 // and every op index bounds-checked against the name table, so a
-// corrupt or truncated delta fails here rather than during apply.
+// corrupt or truncated delta fails here, with an error matching
+// ErrCorruptDelta, rather than during apply.
 func ReadDelta(r io.Reader) (*Delta, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("kb: reading delta: %w", err)
 	}
 	if len(data) < len(deltaMagic)+4 || string(data[:4]) != deltaMagic {
-		return nil, fmt.Errorf("kb: bad delta magic (not a DKBD delta)")
+		return nil, corruptDeltaf("kb: bad delta magic (not a DKBD delta)")
 	}
 	if v := binary.LittleEndian.Uint16(data[4:6]); v != DeltaVersion {
-		return nil, fmt.Errorf("kb: unsupported delta version %d (this build reads version %d)", v, DeltaVersion)
+		return nil, corruptDeltaf("kb: unsupported delta version %d (this build reads version %d)", v, DeltaVersion)
 	}
 
 	secs := make(map[byte][]byte, 9)
@@ -493,14 +506,14 @@ func ReadDelta(r io.Reader) (*Delta, error) {
 	sawEnd := false
 	for off < len(data) {
 		if len(data)-off < sectionHeaderLen {
-			return nil, fmt.Errorf("kb: delta truncated in section header at offset %d", off)
+			return nil, corruptDeltaf("kb: delta truncated in section header at offset %d", off)
 		}
 		id := data[off]
 		crc := binary.LittleEndian.Uint32(data[off+1 : off+5])
 		n := binary.LittleEndian.Uint64(data[off+5 : off+13])
 		off += sectionHeaderLen
 		if n > uint64(len(data)-off) {
-			return nil, fmt.Errorf("kb: delta section %d truncated: need %d bytes, have %d", id, n, len(data)-off)
+			return nil, corruptDeltaf("kb: delta section %d truncated: need %d bytes, have %d", id, n, len(data)-off)
 		}
 		payload := data[off : off+int(n)]
 		off += int(n)
@@ -509,21 +522,21 @@ func ReadDelta(r io.Reader) (*Delta, error) {
 			break
 		}
 		if _, dup := secs[id]; dup {
-			return nil, fmt.Errorf("kb: duplicate delta section %d", id)
+			return nil, corruptDeltaf("kb: duplicate delta section %d", id)
 		}
 		secs[id] = payload
 		crcs[id] = crc
 	}
 	if !sawEnd {
-		return nil, fmt.Errorf("kb: delta truncated: end section missing")
+		return nil, corruptDeltaf("kb: delta truncated: end section missing")
 	}
 	checked := func(id byte) ([]byte, error) {
 		p, ok := secs[id]
 		if !ok {
-			return nil, fmt.Errorf("kb: delta section %d missing", id)
+			return nil, corruptDeltaf("kb: delta section %d missing", id)
 		}
 		if got := crc32.Checksum(p, crcTable); got != crcs[id] {
-			return nil, fmt.Errorf("kb: delta section %d checksum mismatch (corrupt): got %08x, want %08x", id, got, crcs[id])
+			return nil, corruptDeltaf("kb: delta section %d checksum mismatch (corrupt): got %08x, want %08x", id, got, crcs[id])
 		}
 		return p, nil
 	}
@@ -545,7 +558,7 @@ func ReadDelta(r io.Reader) (*Delta, error) {
 	} {
 		v, err := hr.uvarint()
 		if err != nil {
-			return nil, fmt.Errorf("kb: delta header (%s): %w", f.name, err)
+			return nil, corruptDeltaf("kb: delta header (%s): %v", f.name, err)
 		}
 		f.set(v)
 	}
@@ -557,23 +570,26 @@ func ReadDelta(r io.Reader) (*Delta, error) {
 	nr := varintReader{b: np}
 	cnt, err := nr.uvarint()
 	if err != nil {
-		return nil, fmt.Errorf("kb: delta names: %w", err)
+		return nil, corruptDeltaf("kb: delta names: %v", err)
 	}
 	if cnt > uint64(len(np)) {
-		return nil, fmt.Errorf("kb: delta names: implausible count %d in %d payload bytes", cnt, len(np))
+		return nil, corruptDeltaf("kb: delta names: implausible count %d in %d payload bytes", cnt, len(np))
 	}
 	lens := make([]int, cnt)
 	total := 0
 	for i := range lens {
 		v, err := nr.uvarint()
 		if err != nil {
-			return nil, fmt.Errorf("kb: delta name lengths: %w", err)
+			return nil, corruptDeltaf("kb: delta name lengths: %v", err)
+		}
+		if v > uint64(len(np)) {
+			return nil, corruptDeltaf("kb: delta names: entry %d claims %d bytes in a %d-byte payload", i, v, len(np))
 		}
 		lens[i] = int(v)
 		total += int(v)
 	}
 	if nr.off+total+int(cnt) != len(np) {
-		return nil, fmt.Errorf("kb: delta names: payload is %d bytes, layout needs %d", len(np), nr.off+total+int(cnt))
+		return nil, corruptDeltaf("kb: delta names: payload is %d bytes, layout needs %d", len(np), nr.off+total+int(cnt))
 	}
 	blob := string(np[nr.off : nr.off+total])
 	d.Names = make([]string, cnt)
@@ -585,7 +601,7 @@ func ReadDelta(r io.Reader) (*Delta, error) {
 	d.Kinds = make([]Kind, cnt)
 	for i, b := range np[nr.off+total:] {
 		if b > byte(KindLiteral) {
-			return nil, fmt.Errorf("kb: delta names: entry %d has invalid kind %d", i, b)
+			return nil, corruptDeltaf("kb: delta names: entry %d has invalid kind %d", i, b)
 		}
 		d.Kinds[i] = Kind(b)
 	}
@@ -598,10 +614,10 @@ func ReadDelta(r io.Reader) (*Delta, error) {
 		vr := varintReader{b: p}
 		n, err := vr.uvarint()
 		if err != nil {
-			return nil, fmt.Errorf("kb: delta %s: %w", what, err)
+			return nil, corruptDeltaf("kb: delta %s: %v", what, err)
 		}
 		if n > maxDeltaOps {
-			return nil, fmt.Errorf("kb: delta %s: implausible op count %d", what, n)
+			return nil, corruptDeltaf("kb: delta %s: implausible op count %d", what, n)
 		}
 		if n == 0 {
 			return nil, nil
@@ -611,10 +627,10 @@ func ReadDelta(r io.Reader) (*Delta, error) {
 			for j := 0; j < 3; j++ {
 				v, err := vr.uvarint()
 				if err != nil {
-					return nil, fmt.Errorf("kb: delta %s op %d: %w", what, i, err)
+					return nil, corruptDeltaf("kb: delta %s op %d: %v", what, i, err)
 				}
 				if v >= cnt {
-					return nil, fmt.Errorf("kb: delta %s op %d references name %d of %d", what, i, v, cnt)
+					return nil, corruptDeltaf("kb: delta %s op %d references name %d of %d", what, i, v, cnt)
 				}
 				ops[i][j] = int32(v)
 			}
@@ -629,10 +645,10 @@ func ReadDelta(r io.Reader) (*Delta, error) {
 		vr := varintReader{b: p}
 		n, err := vr.uvarint()
 		if err != nil {
-			return nil, fmt.Errorf("kb: delta %s: %w", what, err)
+			return nil, corruptDeltaf("kb: delta %s: %v", what, err)
 		}
 		if n > maxDeltaOps {
-			return nil, fmt.Errorf("kb: delta %s: implausible op count %d", what, n)
+			return nil, corruptDeltaf("kb: delta %s: implausible op count %d", what, n)
 		}
 		if n == 0 {
 			return nil, nil
@@ -642,10 +658,10 @@ func ReadDelta(r io.Reader) (*Delta, error) {
 			for j := 0; j < 2; j++ {
 				v, err := vr.uvarint()
 				if err != nil {
-					return nil, fmt.Errorf("kb: delta %s op %d: %w", what, i, err)
+					return nil, corruptDeltaf("kb: delta %s op %d: %v", what, i, err)
 				}
 				if v >= cnt {
-					return nil, fmt.Errorf("kb: delta %s op %d references name %d of %d", what, i, v, cnt)
+					return nil, corruptDeltaf("kb: delta %s op %d references name %d of %d", what, i, v, cnt)
 				}
 				ops[i][j] = int32(v)
 			}
@@ -704,7 +720,7 @@ var ErrDeltaBaseMismatch = errors.New("kb: delta base mismatch")
 // maps — are the ones shared without copying on the triple-only path.
 func (g *Graph) ApplyDelta(d *Delta) (*Graph, error) {
 	if len(d.Kinds) != len(d.Names) {
-		return nil, fmt.Errorf("kb: malformed delta: %d kinds for %d names", len(d.Kinds), len(d.Names))
+		return nil, corruptDeltaf("kb: malformed delta: %d kinds for %d names", len(d.Kinds), len(d.Names))
 	}
 	if d.BaseTriples != g.NumTriples() {
 		return nil, fmt.Errorf("%w: delta expects a base with %d triples, live graph has %d",

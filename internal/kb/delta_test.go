@@ -1,13 +1,17 @@
 package kb
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // paperGraphV2 writes g as a v2 snapshot and loads it back mmap'd, so
@@ -331,6 +335,9 @@ func TestApplyDeltaKindChange(t *testing.T) {
 	}
 }
 
+// TestReadDeltaRejectsCorruption: every malformed delta is an error
+// matching ErrCorruptDelta; a failing reader is not corruption, so its
+// error passes through (the server maps an oversized body to 413).
 func TestReadDeltaRejectsCorruption(t *testing.T) {
 	d := Diff(paperGraph(), newerPaperGraph())
 	var buf bytes.Buffer
@@ -338,18 +345,89 @@ func TestReadDeltaRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
-
-	if _, err := ReadDelta(bytes.NewReader([]byte("DKBSnope"))); err == nil {
-		t.Error("bad magic accepted")
-	}
-	if _, err := ReadDelta(bytes.NewReader(good[:len(good)/2])); err == nil {
-		t.Error("truncated delta accepted")
-	}
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)/2] ^= 0x40
-	if _, err := ReadDelta(bytes.NewReader(flipped)); err == nil {
-		t.Error("bit-flipped delta accepted")
+
+	// Two name lengths whose int conversions wrap around to the true
+	// blob size: the layout check passes, the lengths must not.
+	var wrap bytes.Buffer
+	bw := bufio.NewWriter(&wrap)
+	bw.WriteString(deltaMagic)
+	bw.Write([]byte{DeltaVersion, 0, 0, 0})
+	writeSection(bw, dsecHeader, []byte{0, 0, 0, 0})
+	names := binary.AppendUvarint(nil, 2)
+	names = binary.AppendUvarint(names, 1<<63+2)
+	names = binary.AppendUvarint(names, 1<<63)
+	names = append(names, "ab\x00\x00"...)
+	writeSection(bw, dsecNames, names)
+	for _, id := range []byte{dsecTripleDel, dsecTripleAdd, dsecTypeDel, dsecTypeAdd, dsecSubDel, dsecSubAdd} {
+		writeSection(bw, id, []byte{0})
 	}
+	writeSection(bw, dsecEnd, nil)
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	for name, data := range map[string][]byte{
+		"bad magic":           []byte("DKBSnope"),
+		"empty":               nil,
+		"truncated":           good[:len(good)/2],
+		"bit flip":            flipped,
+		"wrapped name length": wrap.Bytes(),
+	} {
+		if _, err := ReadDelta(bytes.NewReader(data)); !errors.Is(err, ErrCorruptDelta) {
+			t.Errorf("%s: got %v, want ErrCorruptDelta", name, err)
+		}
+	}
+
+	ioErr := errors.New("read failed")
+	_, err := ReadDelta(io.MultiReader(bytes.NewReader(good[:10]), iotest.ErrReader(ioErr)))
+	if !errors.Is(err, ioErr) || errors.Is(err, ErrCorruptDelta) {
+		t.Errorf("failing reader: got %v, want the read error, not ErrCorruptDelta", err)
+	}
+
+	bad := Diff(paperGraph(), newerPaperGraph())
+	bad.Kinds = bad.Kinds[:len(bad.Kinds)-1]
+	if _, err := paperGraph().ApplyDelta(bad); !errors.Is(err, ErrCorruptDelta) {
+		t.Errorf("kinds shorter than names: got %v, want ErrCorruptDelta", err)
+	}
+}
+
+// FuzzReadDelta: whatever the bytes, reading a delta and applying it to
+// the base it was seeded against yields a typed error or a graph whose
+// every node's name resolves back to it, and never panics.
+func FuzzReadDelta(f *testing.F) {
+	seed, err := os.ReadFile("../../testdata/delta/old_to_new.dkbsd")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	base, err := LoadSnapshotFile("../../testdata/delta/old.dkbs")
+	if err != nil {
+		f.Fatal(err)
+	}
+	base.Freeze()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := ReadDelta(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrCorruptDelta) {
+				t.Fatalf("ReadDelta: untyped error: %v", err)
+			}
+			return
+		}
+		g, err := base.ApplyDelta(d)
+		if err != nil {
+			if !errors.Is(err, ErrCorruptDelta) && !errors.Is(err, ErrDeltaBaseMismatch) {
+				t.Fatalf("ApplyDelta: untyped error: %v", err)
+			}
+			return
+		}
+		for id := ID(0); int(id) < g.NumNodes(); id++ {
+			if got := g.Lookup(g.Name(id)); got != id {
+				t.Fatalf("node %d of %d: name %q resolves to %d", id, g.NumNodes(), g.Name(id), got)
+			}
+		}
+	})
 }
 
 func TestApplyDeltaRejectsInconsistentOps(t *testing.T) {

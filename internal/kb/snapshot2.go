@@ -73,15 +73,18 @@ var ErrSnapshotV1 = errors.New("kb: DKBS version 1 snapshot is no longer support
 // underlying source are reported as they are, not as corruption.
 var ErrCorruptSnapshot = errors.New("kb: corrupt snapshot")
 
-// corruptError is a malformed-snapshot error; it matches
-// ErrCorruptSnapshot.
-type corruptError struct{ msg string }
+// corruptError is a malformed-input error; it matches its kind,
+// ErrCorruptSnapshot or ErrCorruptDelta.
+type corruptError struct {
+	msg  string
+	kind error
+}
 
 func (e *corruptError) Error() string        { return e.msg }
-func (e *corruptError) Is(target error) bool { return target == ErrCorruptSnapshot }
+func (e *corruptError) Is(target error) bool { return target == e.kind }
 
 func corruptf(format string, args ...any) error {
-	return &corruptError{fmt.Sprintf(format, args...)}
+	return &corruptError{fmt.Sprintf(format, args...), ErrCorruptSnapshot}
 }
 
 // SnapshotVersion2 is the format version written by WriteSnapshotV2,

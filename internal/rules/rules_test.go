@@ -2,6 +2,8 @@ package rules_test
 
 import (
 	"bytes"
+	"io"
+	"os"
 	"strings"
 	"testing"
 
@@ -314,6 +316,25 @@ func TestCatalogTaxonomyCandidates(t *testing.T) {
 	if len(got) != 1 || ex.KB.Name(got[0]) != "Marie Curie" {
 		t.Errorf("Candidates(person) = %v", got)
 	}
+}
+
+// FuzzParseRules: whatever the text, the rule parser returns an error
+// or a rule set that EncodeRules writes back, and never panics.
+func FuzzParseRules(f *testing.F) {
+	seed, err := os.ReadFile("../../testdata/e2e/rules.dr")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rs, err := rules.ParseRules(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := rules.EncodeRules(io.Discard, rs); err != nil {
+			t.Fatalf("EncodeRules of parsed rules: %v", err)
+		}
+	})
 }
 
 func TestRuleTextRoundTrip(t *testing.T) {
