@@ -51,7 +51,6 @@ func main() {
 	workers := flag.Int("workers", 0, "streaming repair workers with -stream (0 or 1 = serial; >1 = parallel pipeline)")
 	chunk := flag.Int("chunk", 0, "rows per pipeline chunk with -stream -workers > 1 (0 = default)")
 	memoBytes := flag.Int64("memo-bytes", 0, "byte budget of the repair memo serving repeated rows and hot values from cache (0 = default 64 MiB, negative = off)")
-	noMemo := flag.Bool("no-memo", false, "disable the repair memo")
 	ensembleOn := flag.Bool("ensemble", false, "with -stream: repair by the weighted vote of all engines (detective, KATARA, FD, constant CFD) and append a confidence column")
 	ensembleRef := flag.String("ensemble-ref", "", "with -ensemble: clean reference CSV the FD and constant-CFD proposers are mined from")
 	ensembleThreshold := flag.Float64("ensemble-threshold", 0, "with -ensemble: acceptance threshold on a cell's winning confidence (0 = default)")
@@ -81,7 +80,7 @@ func main() {
 			}
 		}
 		streamClean(g, rs, *name, *inPath, *outPath, *marked, *workers, *chunk,
-			detective.EngineOptions{MemoBytes: *memoBytes, MemoDisabled: *noMemo},
+			detective.EngineOptions{MemoBytes: *memoBytes},
 			*ensembleOn, *ensembleRef, *ensembleThreshold)
 		return
 	}
@@ -89,7 +88,7 @@ func main() {
 	tb := readCSV(*name, *inPath)
 
 	c, err := detective.NewCleanerWithOptions(rs, g, tb.Schema,
-		detective.EngineOptions{MemoBytes: *memoBytes, MemoDisabled: *noMemo})
+		detective.EngineOptions{MemoBytes: *memoBytes})
 	fail(err)
 
 	if *checkConsistency {

@@ -77,7 +77,6 @@ func main() {
 	streamWorkers := flag.Int("stream-workers", 0, "repair workers per /clean stream (0 or 1 = serial; >1 = chunked parallel pipeline)")
 	streamChunk := flag.Int("stream-chunk", 0, "rows per pipeline chunk when -stream-workers > 1 (0 = default)")
 	memoBytes := flag.Int64("memo-bytes", 0, "byte budget of the cross-request repair memo (0 = default 64 MiB, negative = off)")
-	noMemo := flag.Bool("no-memo", false, "disable the cross-request repair memo")
 	verifyMode := flag.String("verify-mode", "", "KB integrity self-check on reload: off, warn (default), strict (reject suspect graphs)")
 	retain := flag.Int("retain", 0, "reloaded-out KB generations kept for POST /rollback (0 = default 2, negative = none)")
 	canaryRows := flag.Int("canary-rows", 0, "recent rows shadow-replayed against a reload candidate (0 = whole recorded ring, negative = skip replay)")
@@ -106,7 +105,6 @@ func main() {
 		StreamWorkers:     *streamWorkers,
 		StreamChunkSize:   *streamChunk,
 		MemoBytes:         *memoBytes,
-		MemoDisabled:      *noMemo,
 		VerifyMode:        *verifyMode,
 		RetainGenerations: *retain,
 		CanaryRows:        *canaryRows,

@@ -117,11 +117,6 @@ func WriteKBSnapshot(w io.Writer, g *KB) error { return g.WriteSnapshotV2(w) }
 // that says to re-pack them from their text source.
 func LoadKBSnapshot(r io.Reader) (*KB, error) { return kb.LoadSnapshot(r) }
 
-// WriteKBSnapshotV2 writes g in the DKBS snapshot format.
-//
-// Deprecated: there is one snapshot format; use WriteKBSnapshot.
-func WriteKBSnapshotV2(w io.Writer, g *KB) error { return WriteKBSnapshot(w, g) }
-
 // LoadKBSnapshotFile loads a snapshot by path: the file is mmap'd in
 // place on supported platforms and read through LoadKBSnapshot
 // elsewhere. The returned graph is read-only.

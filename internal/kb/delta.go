@@ -8,7 +8,7 @@ package kb
 // either graph's ID assignment — and ApplyDelta builds the next
 // generation copy-on-write from the live graph: untouched structures
 // (name storage, the type/taxonomy span tables, the frozen closure
-// maps) are shared with the base outright, and only the edge lists and
+// tables) are shared with the base outright, and only the edge lists and
 // pair-table buckets a delta touches are rewritten. In-flight requests
 // keep the generation they pinned; the generation bump invalidates
 // memo and candidate caches exactly like a full swap.
@@ -699,7 +699,7 @@ var ErrDeltaBaseMismatch = errors.New("kb: delta base mismatch")
 
 // ApplyDelta builds a new graph with d's edits applied, sharing every
 // untouched structure with g copy-on-write: name storage, the
-// type/taxonomy span tables and the frozen closure maps are reused
+// type/taxonomy span tables and the frozen closure tables are reused
 // outright when the delta does not touch them, span tables and arenas
 // are cloned with only the touched buckets rewritten (at the arena
 // tail, in canonical order), and g itself — possibly pinned by
@@ -717,7 +717,7 @@ var ErrDeltaBaseMismatch = errors.New("kb: delta base mismatch")
 // mmap'd pages. The copies are flat memmoves (no per-element work), a
 // small fraction of full-reload cost; the expensive structures — the
 // name table and blob, the four assertion indexes and the closure
-// maps — are the ones shared without copying on the triple-only path.
+// tables — are the ones shared without copying on the triple-only path.
 func (g *Graph) ApplyDelta(d *Delta) (*Graph, error) {
 	if len(d.Kinds) != len(d.Names) {
 		return nil, corruptDeltaf("kb: malformed delta: %d kinds for %d names", len(d.Kinds), len(d.Names))
@@ -940,72 +940,62 @@ func (g *Graph) ApplyDelta(d *Delta) (*Graph, error) {
 		}
 	}
 
-	// Type and taxonomy indexes: shared untouched (with the frozen
-	// closures — the dominant share of full-reload cost) when the delta
-	// has no type/subclass edits; patched otherwise.
+	// Type and taxonomy indexes: shared untouched when the delta has
+	// no type/subclass edits, and so are the closures derived from
+	// them (the dominant share of full-reload cost): ensureClosures
+	// never rebuilds in place, and new nodes are absent from them,
+	// exactly the semantics of an untyped node. Otherwise the indexes
+	// are patched and the closures rebuilt on first use.
 	touchTax := len(tyDel)+len(tyAdd)+len(sbDel)+len(sbAdd) > 0
 	if !touchTax {
 		if g.byName == nil {
 			ng.typesIdx, ng.instOfIdx = g.typesIdx, g.instOfIdx
 			ng.superOfIdx, ng.subOfIdx = g.superOfIdx, g.subOfIdx
-			ng.nTypeKeys, ng.nInstOfKeys = g.nTypeKeys, g.nInstOfKeys
-			ng.nSuperKeys, ng.nSubKeys = g.nSuperKeys, g.nSubKeys
 		} else {
 			// Mutable base: materialize the snapshot-form tables once
 			// (the result graph is always snapshot-form).
-			sp, ar, k := canonIDList(n0, g.forEachTyped)
-			ng.typesIdx, ng.nTypeKeys = idListIndex{sp, ar}, k
-			isp, iar, ik := invertIDList(n0, sp, ar)
-			ng.instOfIdx, ng.nInstOfKeys = idListIndex{isp, iar}, ik
-			ssp, sar, sk := canonIDList(n0, g.forEachSubclassed)
-			ng.superOfIdx, ng.nSuperKeys = idListIndex{ssp, sar}, sk
-			bsp, bar, bk := invertIDList(n0, ssp, sar)
-			ng.subOfIdx, ng.nSubKeys = idListIndex{bsp, bar}, bk
+			sp, ar, _ := canonIDList(n0, g.forEachTyped)
+			ng.typesIdx = idListIndex{sp, ar}
+			isp, iar, _ := invertIDList(n0, sp, ar)
+			ng.instOfIdx = idListIndex{isp, iar}
+			ssp, sar, _ := canonIDList(n0, g.forEachSubclassed)
+			ng.superOfIdx = idListIndex{ssp, sar}
+			bsp, bar, _ := invertIDList(n0, ssp, sar)
+			ng.subOfIdx = idListIndex{bsp, bar}
 		}
+		ng.typeClosure, ng.instClosure, ng.closed = g.typeClosure, g.instClosure, g.closed
 	} else {
-		baseIdx := func(snap *idListIndex, snapKeys int, forEach func(func(ID, []ID))) (idListIndex, int) {
+		baseIdx := func(snap *idListIndex, forEach func(func(ID, []ID))) idListIndex {
 			if g.byName == nil {
-				return *snap, snapKeys
+				return *snap
 			}
-			sp, ar, k := canonIDList(n0, forEach)
-			return idListIndex{sp, ar}, k
+			sp, ar, _ := canonIDList(n0, forEach)
+			return idListIndex{sp, ar}
 		}
-		types, nTypes := baseIdx(&g.typesIdx, g.nTypeKeys, g.forEachTyped)
-		instOf, nInstOf := baseIdx(&g.instOfIdx, g.nInstOfKeys, func(f func(ID, []ID)) {
+		types := baseIdx(&g.typesIdx, g.forEachTyped)
+		instOf := baseIdx(&g.instOfIdx, func(f func(ID, []ID)) {
 			for k, v := range g.instOf {
 				f(k, v)
 			}
 		})
-		superOf, nSuper := baseIdx(&g.superOfIdx, g.nSuperKeys, g.forEachSubclassed)
-		subOf, nSub := baseIdx(&g.subOfIdx, g.nSubKeys, func(f func(ID, []ID)) {
+		superOf := baseIdx(&g.superOfIdx, g.forEachSubclassed)
+		subOf := baseIdx(&g.subOfIdx, func(f func(ID, []ID)) {
 			for k, v := range g.subOf {
 				f(k, v)
 			}
 		})
-		if ng.typesIdx, ng.nTypeKeys, err = cowPatchIDList(types, nTypes, nTotal,
-			fwdPatches(tyDel), fwdPatches(tyAdd)); err != nil {
+		if ng.typesIdx, err = cowPatchIDList(types, nTotal, fwdPatches(tyDel), fwdPatches(tyAdd)); err != nil {
 			return nil, err
 		}
-		if ng.instOfIdx, ng.nInstOfKeys, err = cowPatchIDList(instOf, nInstOf, nTotal,
-			invPatches(tyDel), invPatches(tyAdd)); err != nil {
+		if ng.instOfIdx, err = cowPatchIDList(instOf, nTotal, invPatches(tyDel), invPatches(tyAdd)); err != nil {
 			return nil, err
 		}
-		if ng.superOfIdx, ng.nSuperKeys, err = cowPatchIDList(superOf, nSuper, nTotal,
-			fwdPatches(sbDel), fwdPatches(sbAdd)); err != nil {
+		if ng.superOfIdx, err = cowPatchIDList(superOf, nTotal, fwdPatches(sbDel), fwdPatches(sbAdd)); err != nil {
 			return nil, err
 		}
-		if ng.subOfIdx, ng.nSubKeys, err = cowPatchIDList(subOf, nSub, nTotal,
-			invPatches(sbDel), invPatches(sbAdd)); err != nil {
+		if ng.subOfIdx, err = cowPatchIDList(subOf, nTotal, invPatches(sbDel), invPatches(sbAdd)); err != nil {
 			return nil, err
 		}
-	}
-	if !touchTax && !g.closureDirty && g.instClosure != nil {
-		// ensureClosures always rebuilds into fresh maps, so the frozen
-		// base's closures are safe to share read-only. New nodes are
-		// absent from them — exactly the semantics of an untyped node.
-		ng.instClosure, ng.typeClosure = g.instClosure, g.typeClosure
-	} else {
-		ng.closureDirty = true
 	}
 
 	preds := make(map[ID]struct{}, len(g.preds)+1)
@@ -1601,10 +1591,9 @@ func flattenPairOverlay(nt *pairTable) *pairTable {
 }
 
 // cowPatchIDList builds a copy of x covering nTotal keys with del
-// removed and add appended, returning the patched index and its new
-// non-empty key count. Touched lists are rewritten ascending at the
-// arena tail by the same in-place merge.
-func cowPatchIDList(x idListIndex, baseKeys, nTotal int, del, add []idPatch) (idListIndex, int, error) {
+// removed and add appended. Touched lists are rewritten ascending at
+// the arena tail by the same in-place merge.
+func cowPatchIDList(x idListIndex, nTotal int, del, add []idPatch) (idListIndex, error) {
 	slices.SortFunc(del, cmpIDPatch)
 	slices.SortFunc(add, cmpIDPatch)
 	ikey := func(p idPatch) uint64 { return uint64(uint32(p.key)) }
@@ -1616,14 +1605,12 @@ func cowPatchIDList(x idListIndex, baseKeys, nTotal int, del, add []idPatch) (id
 	copy(spans, x.spans)
 	ids := make([]ID, len(x.ids), len(x.ids)+extra)
 	copy(ids, x.ids)
-	keys := baseKeys
 	var perr error
 	forEachGroup(del, add, ikey, func(k uint64, dels, adds []idPatch) {
 		if perr != nil {
 			return
 		}
 		key := ID(uint32(k))
-		nOld := len(x.view(key))
 		start := len(ids)
 		ids = append(ids, x.view(key)...)
 		for _, ap := range adds {
@@ -1651,16 +1638,10 @@ func cowPatchIDList(x idListIndex, baseKeys, nTotal int, del, add []idPatch) (id
 			return
 		}
 		ids = ids[:w]
-		if nOld == 0 && w > start {
-			keys++
-		}
-		if nOld > 0 && w == start {
-			keys--
-		}
 		spans[key] = pairSpan{off: uint32(start), n: uint32(w - start), cap: uint32(w - start)}
 	})
 	if perr != nil {
-		return idListIndex{}, 0, perr
+		return idListIndex{}, perr
 	}
-	return idListIndex{spans: spans, ids: ids}, keys, nil
+	return idListIndex{spans: spans, ids: ids}, nil
 }

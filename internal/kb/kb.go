@@ -6,13 +6,16 @@
 //
 // All node names are interned to dense int32 IDs so that the indexes
 // used by rule matching (type index, subject–predicate index,
-// predicate–object index) are cheap maps over small keys. The store is
-// append-only: triples can be added at any time, and derived closures
-// (transitive class membership) are recomputed lazily.
+// predicate–object index) are cheap lookups over small keys. The store
+// is append-only: triples can be added at any time, and the derived
+// type closures (transitive class membership, counting subClassOf) are
+// rebuilt lazily, as span tables of ascending IDs, by one builder
+// shared by every storage form.
 package kb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -72,6 +75,9 @@ type Edge struct {
 // idListIndex span tables for the type and taxonomy assertions — and
 // are read-only: every mutator panics. All read accessors pick the
 // live form, so the two storages are indistinguishable to callers.
+// The type closures behind HasType, TypesOf and InstancesOf have a
+// single form, idListIndex span tables, whichever storage the graph
+// uses.
 type Graph struct {
 	names  []string
 	byName map[string]ID
@@ -84,15 +90,14 @@ type Graph struct {
 
 	// Snapshot-backed forms of the name table and assertion maps
 	// (see snapshot2.go). Valid iff byName == nil.
-	nameBlob                                     string    // concatenated name bytes
-	nameOffs                                     []uint32  // node i's name = nameBlob[nameOffs[i]:nameOffs[i+1]]
-	nameTab                                      nameTable // open-addressing name -> ID index
-	nameExtBlob                                  string    // names of delta-added nodes (see delta.go)
-	nameExtOffs                                  []uint32  // local offsets; node len(nameOffs)-1+i = nameExtBlob[nameExtOffs[i]:nameExtOffs[i+1]]
-	nameExtTab                                   nameTable // name -> LOCAL ext index (global = local + len(nameOffs)-1)
-	typesIdx, instOfIdx, superOfIdx, subOfIdx    idListIndex
-	nTypeKeys, nInstOfKeys, nSuperKeys, nSubKeys int
-	mapped                                       *mapping // non-nil when the arenas live in an mmap'd file
+	nameBlob                                  string    // concatenated name bytes
+	nameOffs                                  []uint32  // node i's name = nameBlob[nameOffs[i]:nameOffs[i+1]]
+	nameTab                                   nameTable // open-addressing name -> ID index
+	nameExtBlob                               string    // names of delta-added nodes (see delta.go)
+	nameExtOffs                               []uint32  // local offsets; node len(nameOffs)-1+i = nameExtBlob[nameExtOffs[i]:nameExtOffs[i+1]]
+	nameExtTab                                nameTable // name -> LOCAL ext index (global = local + len(nameOffs)-1)
+	typesIdx, instOfIdx, superOfIdx, subOfIdx idListIndex
+	mapped                                    *mapping // non-nil when the arenas live in an mmap'd file
 
 	out edgeIndex  // subject -> outgoing edges
 	in  edgeIndex  // object -> incoming edges
@@ -103,10 +108,10 @@ type Graph struct {
 	tripleCount int
 	gen         int64 // content mutations; see Generation
 
-	closureDirty bool
-	instClosure  map[ID][]ID        // class -> all instances (incl. via subclasses)
-	typeClosure  map[ID]map[ID]bool // instance -> all classes (incl. superclasses)
-	literalClass ID                 // interned "literal" pseudo-class
+	closed       bool        // typeClosure/instClosure are current; see ensureClosures
+	typeClosure  idListIndex // instance -> all classes (incl. superclasses), ascending
+	instClosure  idListIndex // class -> all instances (incl. via subclasses), ascending
+	literalClass ID          // interned "literal" pseudo-class
 
 	fp atomic.Pointer[fpMemo] // cached content fingerprint; see delta.go
 }
@@ -302,7 +307,7 @@ func (g *Graph) AddTypeID(inst, cls ID) {
 	}
 	g.types[inst] = append(g.types[inst], cls)
 	g.instOf[cls] = append(g.instOf[cls], inst)
-	g.closureDirty = true
+	g.closed = false
 	g.gen++
 }
 
@@ -321,7 +326,7 @@ func (g *Graph) AddSubclassID(sub, super ID) {
 	}
 	g.superOf[sub] = append(g.superOf[sub], super)
 	g.subOf[super] = append(g.subOf[super], sub)
-	g.closureDirty = true
+	g.closed = false
 	g.gen++
 }
 
@@ -386,24 +391,6 @@ func (g *Graph) directSubs(cls ID) []ID {
 	return g.subOfIdx.view(cls)
 }
 
-// numTypeKeys and numInstOfKeys report how many keys carry at least
-// one assertion — the map lengths of the mutable form, needed for
-// exact presizing by the closures.
-
-func (g *Graph) numTypeKeys() int {
-	if g.byName != nil {
-		return len(g.types)
-	}
-	return g.nTypeKeys
-}
-
-func (g *Graph) numInstOfKeys() int {
-	if g.byName != nil {
-		return len(g.instOf)
-	}
-	return g.nInstOfKeys
-}
-
 // forEachTyped calls fn once per instance with at least one directly
 // asserted class, in unspecified order.
 func (g *Graph) forEachTyped(fn func(inst ID, classes []ID)) {
@@ -440,52 +427,60 @@ func (g *Graph) forEachSubclassed(fn func(sub ID, supers []ID)) {
 // bulk loading makes subsequent reads safe for concurrent use.
 func (g *Graph) Freeze() { g.ensureClosures() }
 
+// ensureClosures builds the two type closures as span tables, for
+// every storage form alike: typeClosure maps each instance to its
+// ascending ancestor classes, found by walking directTypes and then
+// directSupers with a stamp array (so taxonomy cycles terminate), and
+// instClosure is its inverse, ascending by construction. The tables
+// are always freshly allocated, so a graph derived from this one may
+// share them read-only.
 func (g *Graph) ensureClosures() {
-	if !g.closureDirty && g.instClosure != nil {
+	if g.closed {
 		return
 	}
-	g.instClosure = make(map[ID][]ID, g.numInstOfKeys())
-	g.typeClosure = make(map[ID]map[ID]bool, g.numTypeKeys())
-
-	// For every instance, walk its direct types up the taxonomy.
-	g.forEachTyped(func(inst ID, direct []ID) {
-		all := make(map[ID]bool, len(direct)*2)
-		var stack []ID
-		stack = append(stack, direct...)
+	n := len(g.kinds)
+	stamp := make([]ID, n) // stamp[c] == inst+1: c already reached from inst
+	spans := make([]pairSpan, n)
+	var ids, stack []ID
+	for inst := ID(0); int(inst) < n; inst++ {
+		direct := g.directTypes(inst)
+		if len(direct) == 0 {
+			continue
+		}
+		start := len(ids)
+		stack = append(stack[:0], direct...)
 		for len(stack) > 0 {
 			c := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if all[c] {
+			if stamp[c] == inst+1 {
 				continue
 			}
-			all[c] = true
+			stamp[c] = inst + 1
+			ids = append(ids, c)
 			stack = append(stack, g.directSupers(c)...)
 		}
-		g.typeClosure[inst] = all
-		for c := range all {
-			g.instClosure[c] = append(g.instClosure[c], inst)
-		}
-	})
-	for c := range g.instClosure {
-		s := g.instClosure[c]
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+		slices.Sort(ids[start:])
+		k := uint32(len(ids) - start)
+		spans[inst] = pairSpan{off: uint32(start), n: k, cap: k}
 	}
-	g.closureDirty = false
+	isp, iids, _ := invertIDList(n, spans, ids)
+	g.typeClosure = idListIndex{spans, ids}
+	g.instClosure = idListIndex{isp, iids}
+	g.closed = true
 }
 
 // InstancesOf returns every instance whose type closure contains cls,
-// i.e. direct members plus members of all (transitive) subclasses.
-// For the reserved "literal" class it returns every literal node.
-// The returned slice is shared; callers must not mutate it.
+// i.e. direct members plus members of all (transitive) subclasses, in
+// ascending ID order. For the reserved "literal" class it returns
+// every literal node. The returned slice is shared; callers must not
+// mutate it.
 func (g *Graph) InstancesOf(cls ID) []ID {
 	if cls == g.literalClass {
 		return g.literals()
 	}
 	g.ensureClosures()
-	return g.instClosure[cls]
+	return g.instClosure.view(cls)
 }
-
-var literalCacheKey = struct{}{}
 
 func (g *Graph) literals() []ID {
 	// Literals are rare query targets; scan on demand.
@@ -495,7 +490,6 @@ func (g *Graph) literals() []ID {
 			out = append(out, ID(id))
 		}
 	}
-	_ = literalCacheKey
 	return out
 }
 
@@ -506,24 +500,24 @@ func (g *Graph) HasType(inst, cls ID) bool {
 		return g.kinds[inst] == KindLiteral
 	}
 	g.ensureClosures()
-	return g.typeClosure[inst][cls]
+	for _, c := range g.typeClosure.view(inst) {
+		if c >= cls {
+			return c == cls
+		}
+	}
+	return false
 }
 
 // TypesOf returns every class inst belongs to, including superclasses
 // through the taxonomy, in ascending ID order. Literals yield only the
-// reserved "literal" class.
+// reserved "literal" class. The returned slice is shared; callers must
+// not mutate it.
 func (g *Graph) TypesOf(inst ID) []ID {
 	if g.kinds[inst] == KindLiteral {
 		return []ID{g.literalClass}
 	}
 	g.ensureClosures()
-	set := g.typeClosure[inst]
-	out := make([]ID, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return g.typeClosure.view(inst)
 }
 
 // Subclasses returns the direct subclasses of cls (shared slice).

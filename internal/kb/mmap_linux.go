@@ -19,3 +19,6 @@ func mapFile(f *os.File, size int64) ([]byte, error) {
 	}
 	return syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
 }
+
+// unmapFile releases a mapping made by mapFile.
+func unmapFile(data []byte) error { return syscall.Munmap(data) }

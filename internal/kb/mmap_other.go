@@ -15,3 +15,5 @@ const mmapSupported = false
 func mapFile(f *os.File, size int64) ([]byte, error) {
 	return nil, errors.New("kb: mmap not supported on this platform")
 }
+
+func unmapFile(data []byte) error { return nil }

@@ -39,8 +39,9 @@ package kb
 // `kbtool pack` is deterministic, which CI verifies.
 //
 // Trust model: the mmap path checksums only the small varint sections
-// it must decode (counts, preds) and bounds-checks every span table
-// against its arena, so a corrupt file fails the load or panics on a
+// it must decode (counts, preds), bounds-checks every span table
+// against its arena and checks every type/taxonomy arena ID against
+// the node count, so a corrupt file fails the load or panics on a
 // bounds check rather than reading wild memory — but it does not CRC
 // the big arenas (touching every page would defeat the ~0ms load).
 // Deploy pipelines should run `kbtool verify` (which uses the fully
@@ -790,8 +791,8 @@ func newSnapshotGraph(data []byte, dir map[byte]dirEntry, checked []byte, cast *
 // span tables are bounds-checked against their arenas so a corrupt
 // file cannot index outside the mapping.
 func loadSnapshotMapped(f *os.File, path string) (*Graph, error) {
-	// Check the header before mapping: mappings are never unmapped,
-	// so a file that is not a snapshot must not get one.
+	// Check the header before mapping, so a file that is not a
+	// snapshot never gets a mapping.
 	var hdr [8]byte
 	if _, err := f.ReadAt(hdr[:], 0); err != nil {
 		return nil, fmt.Errorf("kb: reading snapshot header: %w", err)
@@ -809,11 +810,16 @@ func loadSnapshotMapped(f *os.File, path string) (*Graph, error) {
 		return nil, fmt.Errorf("kb: mmap %s: %w", path, err)
 	}
 	dir, err := parseV2Directory(data, size)
-	if err != nil {
-		return nil, err
+	var g *Graph
+	if err == nil {
+		g, err = newSnapshotGraph(data, dir, []byte{sec2Counts, sec2Preds}, castSections)
 	}
-	g, err := newSnapshotGraph(data, dir, []byte{sec2Counts, sec2Preds}, castSections)
 	if err != nil {
+		// Nothing references a rejected file's pages, so unlike a
+		// served graph's mapping this one is released. The load error
+		// is what the caller acts on; a failed unmap only keeps
+		// address space.
+		_ = unmapFile(data)
 		return nil, err
 	}
 	g.mapped = &mapping{path: path, data: data}
@@ -1007,6 +1013,13 @@ func (g *Graph) initV2(c *v2Counts, section func(byte) []byte, cast *sectionCast
 		}
 		dst.spans = cast.spans(sp)
 		dst.ids = cast.ids(ip)
+		// Every ID must name a node: the closure builder indexes by
+		// these, and no checksum covers the arenas on the mmap path.
+		for i, id := range dst.ids {
+			if id < 0 || int(id) >= c.numNodes {
+				return corruptf("kb: snapshot section %d: entry %d holds ID %d, out of range", idsID, i, id)
+			}
+		}
 		return checkSpans(spanID, dst.spans, idsLen)
 	}
 	if err := loadIdx(sec2TypeSpans, sec2TypeIDs, c.typeIDsLen, &g.typesIdx); err != nil {
@@ -1021,8 +1034,6 @@ func (g *Graph) initV2(c *v2Counts, section func(byte) []byte, cast *sectionCast
 	if err := loadIdx(sec2SubSpans, sec2SubIDs, c.subIDsLen, &g.subOfIdx); err != nil {
 		return err
 	}
-	g.nTypeKeys, g.nInstOfKeys = c.typeKeys, c.instOfKeys
-	g.nSuperKeys, g.nSubKeys = c.superKeys, c.subKeys
 
 	// Edge indexes.
 	loadEdges := func(spanID, edgesID byte, dst *edgeIndex) error {
@@ -1120,7 +1131,6 @@ func (g *Graph) initV2(c *v2Counts, section func(byte) []byte, cast *sectionCast
 	g.tripleCount = c.tripleCount
 	g.gen = c.gen
 	g.literalClass = c.literalClass
-	g.closureDirty = true
 	return nil
 }
 

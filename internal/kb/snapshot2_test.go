@@ -451,6 +451,48 @@ func TestSnapshotV2Corruption(t *testing.T) {
 	}, func(b []byte) io.Reader { return bytes.NewReader(b) })
 }
 
+// TestSnapshotRejectsOutOfRangeAssertionIDs: a CRC-valid snapshot
+// whose type/taxonomy arena names a node that does not exist is a
+// typed error on both read paths, never a graph that serves (or
+// panics on) it.
+func TestSnapshotRejectsOutOfRangeAssertionIDs(t *testing.T) {
+	good, err := os.ReadFile("../../testdata/delta/old.dkbs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := LoadSnapshot(bytes.NewReader(good))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sec := range []byte{sec2TypeIDs, sec2InstOfIDs, sec2SuperIDs, sec2SubIDs} {
+		for _, bad := range []ID{ID(g.NumNodes()), -1} {
+			b := append([]byte(nil), good...)
+			dirOff, e := findV2Section(t, b, sec)
+			if e.n < 4 {
+				t.Fatalf("section %s is empty", v2SectionNames[sec])
+			}
+			binary.LittleEndian.PutUint32(b[e.off+e.n-4:], uint32(bad))
+			binary.LittleEndian.PutUint32(b[dirOff+4:], crc32.Checksum(b[e.off:e.off+e.n], crcTable))
+			if _, err := LoadSnapshot(bytes.NewReader(b)); !errors.Is(err, ErrCorruptSnapshot) {
+				t.Errorf("%s holds ID %d: LoadSnapshot = %v, want ErrCorruptSnapshot", v2SectionNames[sec], bad, err)
+			}
+			if _, err := LoadSnapshotFile(writeTemp(t, b)); !errors.Is(err, ErrCorruptSnapshot) {
+				t.Errorf("%s holds ID %d: LoadSnapshotFile = %v, want ErrCorruptSnapshot", v2SectionNames[sec], bad, err)
+			}
+		}
+	}
+}
+
+// writeTemp writes data to a fresh file and returns its path.
+func writeTemp(t testing.TB, data []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "kb.dkbs")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // TestLoadSnapshotAllocationBounded: a directory claiming a terabyte
 // must cost memory in proportion to the bytes that arrive, not to the
 // claim.
@@ -497,9 +539,9 @@ func TestReadSnapshotInfo(t *testing.T) {
 	}
 }
 
-// FuzzLoadSnapshot: whatever the bytes, the one snapshot reader returns
-// a graph or a typed error, and never panics.
-func FuzzLoadSnapshot(f *testing.F) {
+// addSnapshotSeeds seeds a snapshot fuzz target with the committed
+// delta-pair snapshots and an empty graph.
+func addSnapshotSeeds(f *testing.F) {
 	for _, path := range []string{"../../testdata/delta/old.dkbs", "../../testdata/delta/new.dkbs"} {
 		seed, err := os.ReadFile(path)
 		if err != nil {
@@ -508,16 +550,46 @@ func FuzzLoadSnapshot(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Add(snap2Bytes(f, New()))
+}
+
+// checkFuzzedLoad: a load of arbitrary bytes either fails with a
+// typed error or yields a graph whose taxonomy walks cleanly.
+func checkFuzzedLoad(t *testing.T, g *Graph, err error) {
+	if err != nil {
+		if !errors.Is(err, ErrCorruptSnapshot) && !errors.Is(err, ErrSnapshotV1) {
+			t.Fatalf("untyped error: %v", err)
+		}
+		return
+	}
+	if g.NumNodes() == 0 {
+		t.Fatal("loaded graph has no nodes (the literal class is always interned)")
+	}
+	walkTaxonomy(t, g)
+}
+
+// FuzzLoadSnapshot: whatever the bytes, the stream snapshot reader
+// returns a walkable graph or a typed error, and never panics.
+func FuzzLoadSnapshot(f *testing.F) {
+	addSnapshotSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := LoadSnapshot(bytes.NewReader(data))
-		if err != nil {
-			if !errors.Is(err, ErrCorruptSnapshot) && !errors.Is(err, ErrSnapshotV1) {
-				t.Fatalf("untyped error: %v", err)
+		checkFuzzedLoad(t, g, err)
+	})
+}
+
+// FuzzLoadSnapshotFile is FuzzLoadSnapshot for the mmap read path,
+// which does not checksum the arenas it casts in place.
+func FuzzLoadSnapshotFile(f *testing.F) {
+	addSnapshotSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := LoadSnapshotFile(writeTemp(t, data))
+		checkFuzzedLoad(t, g, err)
+		if g != nil && g.mapped != nil {
+			// Served mappings are never released; a fuzz run maps
+			// thousands of files, so release each once it is walked.
+			if err := unmapFile(g.mapped.data); err != nil {
+				t.Fatal(err)
 			}
-			return
-		}
-		if g.NumNodes() == 0 {
-			t.Fatal("loaded graph has no nodes (the literal class is always interned)")
 		}
 	})
 }

@@ -77,7 +77,6 @@ func (g *Graph) ComputeStats(topN int) Stats {
 		}
 	}
 	if topN > 0 {
-		g.ensureClosures()
 		sizes := make([]ClassSize, 0, len(classes))
 		for _, c := range classes {
 			sizes = append(sizes, ClassSize{Class: g.Name(c), Size: len(g.InstancesOf(c))})

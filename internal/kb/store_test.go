@@ -58,7 +58,7 @@ func TestStoreSwapFreezes(t *testing.T) {
 	g2.AddType("i", "c")
 	g2.AddSubclass("c", "d")
 	st.Swap(g2)
-	if st.Graph().closureDirty {
+	if !st.Graph().closed {
 		t.Error("swapped-in graph was not frozen")
 	}
 }

@@ -338,8 +338,9 @@ func checkStructure(g *kb.Graph, r *Report, opts Options) {
 // checkTaxonomy finds cycles in the subclass relation with an
 // iterative Tarjan SCC (explicit stack — taxonomy depth must not be
 // bounded by goroutine stack size). Any SCC with more than one member,
-// or a self-loop, is a cycle: subclass closure computation treats the
-// relation as a DAG, so cycles silently truncate closures.
+// or a self-loop, is a cycle: the type closures terminate on one but
+// make every class in it an ancestor of every other, and
+// kb.TaxonomyDepth assumes a DAG.
 func checkTaxonomy(g *kb.Graph, r *Report, opts Options) {
 	n := kb.ID(g.NumNodes())
 	var classes []kb.ID
